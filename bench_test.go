@@ -154,7 +154,7 @@ func BenchmarkEnergyVariants(b *testing.B) {
 		spec := spec
 		b.Run(spec.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := ccsd.RunReal(w, spec, 4)
+				res, err := ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1}).Execute(ccsd.ExecConfig{Workers: 4})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -142,11 +142,11 @@ func runFaults(sys *molecule.System, mcfg cluster.Config, names []string, cores 
 			var mk sim.Time
 			var res simexec.Result
 			if name == "original" {
-				var err error
-				mk, err = ccsd.RunSimBaselineFaults(sys, "t2_7", mcfg, cores, nil, inj)
+				base, err := ccsd.RunSimBaselineFaults(sys, mcfg, cores, nil, inj)
 				if err != nil {
 					return fmt.Errorf("%s/%s: %w", sc.name, name, err)
 				}
+				mk = base.Makespan
 			} else {
 				spec, err := ccsd.VariantByName(name)
 				if err != nil {
@@ -340,7 +340,11 @@ func checkFaultEnergies(names []string, quick bool) (*faultEnergy, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := ccsd.RunRealPerturbed(w, spec, workers, sched.PerWorkerSteal, delay)
+		res, err := ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1}).Execute(ccsd.ExecConfig{
+			Workers:   workers,
+			Queue:     sched.PerWorkerSteal,
+			TaskDelay: delay,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("perturbed real run %s: %w", name, err)
 		}

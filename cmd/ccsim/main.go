@@ -323,9 +323,10 @@ with real parallelism, approaching W when one worker monopolizes the run
 		if err != nil {
 			return err
 		}
+		plan := ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1})
 		for _, m := range modes {
 			for _, workers := range workerCounts {
-				res, err := ccsd.RunRealQueued(w, spec, workers, m.q)
+				res, err := plan.Execute(ccsd.ExecConfig{Workers: workers, Queue: m.q})
 				if err != nil {
 					return fmt.Errorf("%s/%s @%d workers: %w", name, m.name, workers, err)
 				}

@@ -10,7 +10,6 @@ import (
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
-	"parsec/internal/tce"
 	"parsec/internal/trace"
 )
 
@@ -91,7 +90,7 @@ func runProfile(sys, realSys *molecule.System, mcfg cluster.Config, names []stri
 func profileSimVariant(sys *molecule.System, name string, spec ccsd.VariantSpec, mcfg cluster.Config, cores int) (*obsv.Profile, error) {
 	tr := trace.New()
 	rc := ccsd.SimRunConfig{CoresPerNode: cores, Trace: tr}
-	res, comm, err := ccsd.RunSimComm(sys, spec, mcfg, rc)
+	res, err := ccsd.RunSim(sys, spec, mcfg, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -102,8 +101,8 @@ func profileSimVariant(sys *molecule.System, name string, spec ccsd.VariantSpec,
 		byClass[k] = v
 	}
 	p.SetComm(obsv.CommStats{
-		GetOps: comm.GetOps, GetBytes: comm.GetBytes,
-		AccOps: comm.AccOps, AccBytes: comm.AccBytes,
+		GetOps: res.GAGets, GetBytes: res.GAGetBytes,
+		AccOps: res.GAAccs, AccBytes: res.GAAccBytes,
 		Transfers: int64(res.Transfers), TotalBytes: res.BytesSent,
 		ByClass: byClass,
 	})
@@ -120,15 +119,15 @@ func profileSimVariant(sys *molecule.System, name string, spec ccsd.VariantSpec,
 // volumes but no critical-path attribution.
 func profileOriginal(sys *molecule.System, mcfg cluster.Config, cores int) (*obsv.Profile, error) {
 	tr := trace.New()
-	_, comm, err := ccsd.RunSimBaselineComm(sys, mcfg, cores, tr)
+	res, err := ccsd.RunSimBaselineFaults(sys, mcfg, cores, tr, nil)
 	if err != nil {
 		return nil, fmt.Errorf("profile original: %w", err)
 	}
 	p := obsv.FromTrace(fmt.Sprintf("original sim %s %dn x %dr", sys.Name, mcfg.Nodes, cores), tr)
 	p.SetRamp("GEMM", tr)
 	p.SetComm(obsv.CommStats{
-		GetOps: comm.GetOps, GetBytes: comm.GetBytes,
-		AccOps: comm.AccOps, AccBytes: comm.AccBytes,
+		GetOps: res.Gets, GetBytes: res.GetBytes,
+		AccOps: res.Adds, AccBytes: res.AddBytes,
 	})
 	return p, nil
 }
@@ -136,14 +135,16 @@ func profileOriginal(sys *molecule.System, mcfg cluster.Config, cores int) (*obs
 // profileReal runs one variant with real arithmetic on the goroutine
 // runtime, profiling wall-clock spans instead of simulated time.
 func profileReal(sys *molecule.System, spec ccsd.VariantSpec, workers int) (*obsv.Profile, error) {
-	w := tce.Inspect(tce.T2_7(sys), nil)
+	plan := ccsd.Compile(sys, spec, ccsd.Options{Nodes: 1})
 	tr := trace.New()
-	if _, err := ccsd.RunRealTraced(w, spec, workers, tr); err != nil {
+	if _, err := plan.Execute(ccsd.ExecConfig{Workers: workers, Trace: tr}); err != nil {
 		return nil, err
 	}
 	p := obsv.FromTrace(fmt.Sprintf("%s real %s, %d workers (wall time)", spec.Name, sys.Name, workers), tr)
 	p.SetRamp("GEMM", tr)
-	a, err := ccsd.AnalyzeVariantReal(w, spec, 0, measuredDurations(tr))
+	// The replay graph has no store: only the dataflow runs, never a body.
+	dur := measuredDurations(tr)
+	a, err := ptg.Analyze(plan.NewGraph(nil), func(in *ptg.Instance) int64 { return dur(in.Ref) })
 	if err != nil {
 		return nil, fmt.Errorf("critical-path replay: %w", err)
 	}

@@ -51,7 +51,7 @@ func runRealDist(preset string, names []string, ranks, workers int, verbose bool
 		if verbose {
 			fmt.Fprintf(os.Stderr, "# %s: single-process reference...\n", name)
 		}
-		ref, err := ccsd.RunReal(w, spec, workers)
+		ref, err := ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1}).Execute(ccsd.ExecConfig{Workers: workers})
 		if err != nil {
 			return fmt.Errorf("%s reference: %w", name, err)
 		}

@@ -2,14 +2,14 @@ package ccsd
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"parsec/internal/cluster"
-	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
-	"parsec/internal/runtime"
 	"parsec/internal/sched"
 	"parsec/internal/tce"
 	"parsec/internal/trace"
@@ -39,7 +39,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 	for _, spec := range Variants() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := RunReal(w, spec, 4)
+			res, err := CompileWorkload(w, spec, Options{Nodes: 1}).Execute(ExecConfig{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,8 +110,7 @@ func TestSegmentHeightAblationMatchesReference(t *testing.T) {
 
 func buildAndRunWithHeight(t *testing.T, w *tce.Workload, spec VariantSpec, h int) float64 {
 	t.Helper()
-	// RunReal with a custom segment height.
-	res, err := runRealWithOptions(w, spec, 4, h, sched.SharedQueue)
+	res, err := CompileWorkload(w, spec, Options{Nodes: 1, SegmentHeight: h}).Execute(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +221,26 @@ func TestSimBaselineCompletes(t *testing.T) {
 	}
 }
 
+// TestSimBaselineFaultsWithoutInjector: RunSimBaselineFaults with a nil
+// injector is exactly RunSimBaseline, plus the GA tally behind it.
+func TestSimBaselineFaultsWithoutInjector(t *testing.T) {
+	sys := molecule.Water631G()
+	mk, err := RunSimBaseline(sys, simConfig(4, 4), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSimBaselineFaults(sys, simConfig(4, 4), 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan != mk {
+		t.Errorf("makespan %v without injector, %v from RunSimBaseline", res.Makespan, mk)
+	}
+	if res.Gets == 0 || res.Adds == 0 || res.GetBytes == 0 || res.AddBytes == 0 {
+		t.Errorf("empty GA tally: %+v", res)
+	}
+}
+
 func TestSimMoreCoresHelpParallelVariant(t *testing.T) {
 	sys := molecule.Benzene631G()
 	spec, _ := VariantByName("v5")
@@ -249,7 +268,7 @@ func TestT1KernelAllVariants(t *testing.T) {
 		t.Fatal("degenerate T1 reference")
 	}
 	for _, spec := range Variants() {
-		res, err := RunReal(w, spec, 4)
+		res, err := CompileWorkload(w, spec, Options{Nodes: 1}).Execute(ExecConfig{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -354,7 +373,7 @@ func TestPropertyVariantsMatchReferenceOnRandomSystems(t *testing.T) {
 		ref := ReferenceEnergy(w)
 		for _, name := range []string{"v1", "v5"} {
 			spec, _ := VariantByName(name)
-			res, err := RunReal(w, spec, 3)
+			res, err := CompileWorkload(w, spec, Options{Nodes: 1}).Execute(ExecConfig{Workers: 3})
 			if err != nil {
 				t.Logf("%s on %v: %v", name, sys, err)
 				return false
@@ -368,6 +387,37 @@ func TestPropertyVariantsMatchReferenceOnRandomSystems(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestExecTaskDelayStraggler drives ExecConfig.TaskDelay: worker 0 is
+// a straggler under work stealing, the hook runs once per task, and the
+// energy still matches the serial reference.
+func TestExecTaskDelayStraggler(t *testing.T) {
+	w := waterWorkload()
+	spec, _ := VariantByName("v4")
+	plan := CompileWorkload(w, spec, Options{Nodes: 1})
+	var calls atomic.Int64
+	res, err := plan.Execute(ExecConfig{
+		Workers: 3,
+		Queue:   sched.PerWorkerSteal,
+		TaskDelay: func(worker int, ref ptg.TaskRef) time.Duration {
+			calls.Add(1)
+			if worker == 0 {
+				return 20 * time.Microsecond
+			}
+			return 0
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := relDiff(res.Energy, ReferenceEnergy(w)); d > 1e-12 {
+		t.Errorf("straggler run energy off by rel %g", d)
+	}
+	_, tasks := plan.NewGraph(nil).CountTasks()
+	if got := calls.Load(); got != int64(tasks) || res.Report.Tasks != tasks {
+		t.Errorf("delay hook ran %d times, report %d tasks, graph has %d", got, res.Report.Tasks, tasks)
 	}
 }
 
@@ -439,13 +489,11 @@ func TestSimFusionBeatsStaged(t *testing.T) {
 }
 
 func TestTreeShape(t *testing.T) {
-	ts := newTreeShape(1)
-	if ts.top != 0 || len(ts.width) != 1 {
-		t.Errorf("m=1: %+v", ts)
+	if ws := treeWidths(1, 2); len(ws) != 1 {
+		t.Errorf("m=1: %v", ws)
 	}
-	ts = newTreeShape(5)
-	if ts.top != 3 || ts.width[1] != 3 || ts.width[2] != 2 || ts.width[3] != 1 {
-		t.Errorf("m=5: %+v", ts)
+	if ws := treeWidths(5, 2); len(ws) != 4 || ws[1] != 3 || ws[2] != 2 || ws[3] != 1 {
+		t.Errorf("m=5: %v", ws)
 	}
 }
 
@@ -470,22 +518,8 @@ func TestSegmentedWritesMatchReference(t *testing.T) {
 }
 
 func runRealWithWriteSpan(w *tce.Workload, spec VariantSpec, workers, span int) (float64, error) {
-	store := ga.NewStore(1)
-	aName, bName := w.InputTensors()
-	a := store.Create(aName)
-	bt := store.Create(bName)
-	store.Create(tce.TensorC)
-	for _, ref := range w.UniqueBlocks(aName) {
-		w.FillBlock(ref, a.GetOrCreate(ref.Key, ref.Dims))
-	}
-	for _, ref := range w.UniqueBlocks(bName) {
-		w.FillBlock(ref, bt.GetOrCreate(ref.Key, ref.Dims))
-	}
-	g := BuildGraph(w, spec, Options{Nodes: 1, Store: store, WriteSpan: span})
-	if _, err := runtime.Run(g, runtime.Config{Workers: workers}); err != nil {
-		return 0, err
-	}
-	return w.Energy(store.Array(tce.TensorC)), nil
+	res, err := CompileWorkload(w, spec, Options{Nodes: 1, WriteSpan: span}).Execute(ExecConfig{Workers: workers})
+	return res.Energy, err
 }
 
 // TestSimSegmentedWrites: the simulated run completes with spanning

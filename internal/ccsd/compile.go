@@ -20,8 +20,6 @@ import (
 // scheduler state — so a plan compiled once can back any number of
 // executions, which is what the service's content-keyed cache holds.
 type CompiledPlan struct {
-	// Sys is the inspected molecular system.
-	Sys *molecule.System
 	// Spec is the algorithmic variant the plan was compiled for.
 	Spec VariantSpec
 	// Opts is the graph shape (nodes, segment height, write span). The
@@ -48,21 +46,28 @@ type CompiledPlan struct {
 // kernel on sys and returns the cacheable plan. opts.Store is ignored
 // (and cleared): stores are per-execution, not part of the plan.
 func Compile(sys *molecule.System, spec VariantSpec, opts Options) *CompiledPlan {
+	t0 := time.Now()
+	w := tce.Inspect(tce.T2_7(sys), nil)
+	inspect := time.Since(t0)
+	p := CompileWorkload(w, spec, opts)
+	p.InspectTime = inspect
+	return p
+}
+
+// CompileWorkload is Compile for an already-inspected workload of any
+// kernel (T2_7 or T1_2): it runs only the chain planning.
+func CompileWorkload(w *tce.Workload, spec VariantSpec, opts Options) *CompiledPlan {
 	opts.Store = nil
 	shape := effectiveShape(spec, opts)
 	t0 := time.Now()
-	w := tce.Inspect(tce.T2_7(sys), nil)
-	t1 := time.Now()
 	ps := plans(w, shape)
 	return &CompiledPlan{
-		Sys:         sys,
-		Spec:        spec,
-		Opts:        opts,
-		Shape:       shape,
-		Workload:    w,
-		InspectTime: t1.Sub(t0),
-		PlanTime:    time.Since(t1),
-		ps:          ps,
+		Spec:     spec,
+		Opts:     opts,
+		Shape:    shape,
+		Workload: w,
+		PlanTime: time.Since(t0),
+		ps:       ps,
 	}
 }
 
@@ -122,6 +127,11 @@ type ExecConfig struct {
 	// Cancel, when non-nil, aborts the run when it becomes readable;
 	// the error returned satisfies errors.Is(err, runtime.ErrCanceled).
 	Cancel <-chan struct{}
+	// TaskDelay, when non-nil, stalls each task by the returned
+	// duration before its body runs — the real-runtime analogue of a
+	// simulated straggler. Recovery may reshuffle who computes what,
+	// never what is computed: the energy still matches the reference.
+	TaskDelay func(worker int, ref ptg.TaskRef) time.Duration
 }
 
 // Execute runs the compiled plan once: it creates a fresh store, fills
@@ -129,39 +139,23 @@ type ExecConfig struct {
 // correlation energy. Concurrent Executes of the same plan are safe —
 // the plan is read-only after Compile.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
-	w := p.Workload
-	store := ga.NewStore(1)
-	aName, bName := w.InputTensors()
-	a := store.Create(aName)
-	bt := store.Create(bName)
-	store.Create(tce.TensorC)
-	for _, ref := range w.UniqueBlocks(aName) {
-		w.FillBlock(ref, a.GetOrCreate(ref.Key, ref.Dims))
-	}
-	for _, ref := range w.UniqueBlocks(bName) {
-		w.FillBlock(ref, bt.GetOrCreate(ref.Key, ref.Dims))
-	}
-
-	g := p.NewGraph(store)
-	policy := sched.PriorityOrder
-	if !p.Spec.UsePriorities() {
-		policy = sched.LIFOOrder
-	}
+	store := newInputStore(p.Workload)
 	rcfg := runtime.Config{
-		Workers: cfg.Workers,
-		Policy:  policy,
-		Queues:  cfg.Queue,
-		Cancel:  cfg.Cancel,
+		Workers:   cfg.Workers,
+		Policy:    p.Spec.Policy(),
+		Queues:    cfg.Queue,
+		Cancel:    cfg.Cancel,
+		TaskDelay: cfg.TaskDelay,
 	}
 	if cfg.Trace != nil {
 		rcfg.Observer = runtime.TraceObserver(0, cfg.Trace)
 	}
-	rep, err := runtime.Run(g, rcfg)
+	rep, err := runtime.Run(p.NewGraph(store), rcfg)
 	if err != nil {
 		return RealResult{}, err
 	}
 	return RealResult{
-		Energy: w.Energy(store.Array(tce.TensorC)),
+		Energy: p.Workload.Energy(store.Array(tce.TensorC)),
 		Report: rep,
 	}, nil
 }

@@ -29,6 +29,34 @@ type variantSig struct {
 	SHA256  string `json:"sha256"`
 }
 
+// TestFusedGraphSignatures pins the fused kernel+energy graph and the
+// staged energy graph on water at 1 and 4 nodes to signatures captured
+// before their reduction trees shared treeWidths with the chain plans.
+func TestFusedGraphSignatures(t *testing.T) {
+	w := waterWorkload()
+	for _, tc := range []struct {
+		name         string
+		build        func(*tce.Workload, Options, *float64) *ptg.Graph
+		nodes        int
+		tasks, edges int
+		sha256       string
+	}{
+		{"fused", BuildFused, 1, 1295, 1332, "0c4b1184e9b348fb9ccaa66c371da9ccb628f5e97a44d72d6499f6c6594733f1"},
+		{"fused", BuildFused, 4, 1295, 1332, "da65565f1308adc7b82cba7f0cad00a895381fa5bd368c5582045dc83ae4dc06"},
+		{"staged", BuildEnergyStaged, 1, 79, 78, "db3301e42c2a847cbb6a0ba5e66d5cdc9f7feabf58b404ea06d6e0f325f78930"},
+		{"staged", BuildEnergyStaged, 4, 79, 78, "9b025c0932ad872ee70c89eb0b8b6460133a8e3628e4e476e3658aa63f08cd2c"},
+	} {
+		sig, err := ptg.Signature(tc.build(w, Options{Nodes: tc.nodes}, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sig.Tasks != tc.tasks || sig.Edges != tc.edges || sig.SHA256 != tc.sha256 {
+			t.Errorf("%s at %d nodes: %v, want tasks=%d edges=%d sha256=%s",
+				tc.name, tc.nodes, sig, tc.tasks, tc.edges, tc.sha256[:16])
+		}
+	}
+}
+
 // TestRecipesReproduceHandWrittenGraphs is the tentpole equivalence
 // proof: every golden configuration (v1–v5 across systems, kernels,
 // node counts, plus segment-height and write-span overrides) must
@@ -142,7 +170,7 @@ func TestNewShapesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunReal(w, spec, 4)
+		res, err := CompileWorkload(w, spec, Options{Nodes: 1}).Execute(ExecConfig{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -158,7 +186,7 @@ func TestNewShapesMatchReference(t *testing.T) {
 	if r.SegHeight != 2 {
 		t.Fatalf("FuseSegments landed on seg=%d, want 2", r.SegHeight)
 	}
-	res, err := RunReal(w, VariantFromRecipe(mustParse(t, "seg=2")), 4)
+	res, err := CompileWorkload(w, VariantFromRecipe(mustParse(t, "seg=2")), Options{Nodes: 1}).Execute(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,33 +30,19 @@ import (
 //   - fused: one graph in which each chain's SORT forwards its block
 //     directly to its ENERGY task — no GA round trip, no barrier.
 
-// treeShape describes a binary reduction tree over m leaves.
-type treeShape struct {
-	top   int
-	width []int
-}
-
-func newTreeShape(m int) treeShape {
-	t := treeShape{width: []int{m}}
-	for w := m; w > 1; {
-		w = (w + 1) / 2
-		t.width = append(t.width, w)
-		t.top++
-	}
-	return t
-}
-
 // energyStage appends the ENERGY / EREDUCE / ESINK classes to a graph.
 // source wires each ENERGY(L1) input: it is called with the flow and must
 // attach either a task dependence (fused) or a data dependence (staged).
 type energyStage struct {
 	b      *builder
-	tree   treeShape
+	width  []int    // binary reduction tree width per level; width[0] = chains
+	top    int      // reduction tree height (0 for a single chain)
 	result *float64 // real execution: final scalar lands here
 }
 
 func (b *builder) buildEnergyStage(result *float64, fused bool) {
-	es := &energyStage{b: b, tree: newTreeShape(b.numChains()), result: result}
+	width := treeWidths(b.numChains(), 2)
+	es := &energyStage{b: b, width: width, top: len(width) - 1, result: result}
 	es.buildEnergy(fused)
 	es.buildEReduce()
 	es.buildESink()
@@ -125,8 +111,7 @@ func (es *energyStage) buildEnergy(fused bool) {
 // or to ESINK at the top. leafIdx maps args to the index at the given
 // level.
 func (es *energyStage) addTreeOut(f *ptg.Flow, lvl int, idx func(a ptg.Args) int) {
-	tree := es.tree
-	if tree.top == 0 {
+	if es.top == 0 {
 		// Single chain: straight to the sink.
 		f.Out(nil, func(a ptg.Args) (ptg.TaskRef, string) {
 			return ptg.TaskRef{Class: "ESINK", Args: ptg.A1(0)}, "P"
@@ -145,11 +130,10 @@ func (es *energyStage) addTreeOut(f *ptg.Flow, lvl int, idx func(a ptg.Args) int
 
 func (es *energyStage) buildEReduce() {
 	b := es.b
-	tree := es.tree
 	tc := b.g.Class("EREDUCE")
 	tc.Domain = func(emit func(ptg.Args)) {
-		for lvl := 1; lvl <= tree.top; lvl++ {
-			for i := 0; i < tree.width[lvl]; i++ {
+		for lvl := 1; lvl <= es.top; lvl++ {
+			for i := 0; i < es.width[lvl]; i++ {
 				emit(ptg.A2(lvl, i))
 			}
 		}
@@ -168,9 +152,9 @@ func (es *energyStage) buildEReduce() {
 	x := tc.AddFlow("X", ptg.RW)
 	x.In(nil, func(a ptg.Args) (ptg.TaskRef, string) { return child(a, 0) })
 	y := tc.AddFlow("Y", ptg.Read)
-	y.In(func(a ptg.Args) bool { return 2*a[1]+1 < tree.width[a[0]-1] },
+	y.In(func(a ptg.Args) bool { return 2*a[1]+1 < es.width[a[0]-1] },
 		func(a ptg.Args) (ptg.TaskRef, string) { return child(a, 1) })
-	x.Out(func(a ptg.Args) bool { return a[0] < tree.top },
+	x.Out(func(a ptg.Args) bool { return a[0] < es.top },
 		func(a ptg.Args) (ptg.TaskRef, string) {
 			flow := "X"
 			if a[1]%2 == 1 {
@@ -178,7 +162,7 @@ func (es *energyStage) buildEReduce() {
 			}
 			return ptg.TaskRef{Class: "EREDUCE", Args: ptg.A2(a[0]+1, a[1]/2)}, flow
 		})
-	x.Out(func(a ptg.Args) bool { return a[0] == tree.top },
+	x.Out(func(a ptg.Args) bool { return a[0] == es.top },
 		func(a ptg.Args) (ptg.TaskRef, string) {
 			return ptg.TaskRef{Class: "ESINK", Args: ptg.A1(0)}, "P"
 		})
@@ -200,10 +184,10 @@ func (es *energyStage) buildESink() {
 	tc.Affinity = func(a ptg.Args) int { return 0 }
 	tc.Cost = func(a ptg.Args) ptg.Cost { return ptg.Cost{MemBytes: 64} }
 	tc.AddFlow("P", ptg.Read).In(nil, func(a ptg.Args) (ptg.TaskRef, string) {
-		if es.tree.top == 0 {
+		if es.top == 0 {
 			return ptg.TaskRef{Class: "ENERGY", Args: ptg.A1(0)}, "P"
 		}
-		return ptg.TaskRef{Class: "EREDUCE", Args: ptg.A2(es.tree.top, 0)}, "X"
+		return ptg.TaskRef{Class: "EREDUCE", Args: ptg.A2(es.top, 0)}, "X"
 	})
 	if b.opts.Store != nil {
 		result := es.result
@@ -274,19 +258,8 @@ func BuildEnergyStaged(w *tce.Workload, opts Options, result *float64) *ptg.Grap
 // RunRealFused executes the fused graph with real arithmetic and returns
 // the correlation energy, which must equal the reference functional.
 func RunRealFused(w *tce.Workload, workers int) (float64, error) {
-	store := ga.NewStore(1)
-	aName, bName := w.InputTensors()
-	a := store.Create(aName)
-	bt := store.Create(bName)
-	store.Create(tce.TensorC)
-	for _, ref := range w.UniqueBlocks(aName) {
-		w.FillBlock(ref, a.GetOrCreate(ref.Key, ref.Dims))
-	}
-	for _, ref := range w.UniqueBlocks(bName) {
-		w.FillBlock(ref, bt.GetOrCreate(ref.Key, ref.Dims))
-	}
 	var result float64
-	g := BuildFused(w, Options{Nodes: 1, Store: store}, &result)
+	g := BuildFused(w, Options{Nodes: 1, Store: newInputStore(w)}, &result)
 	if _, err := runtime.Run(g, runtime.Config{Workers: workers}); err != nil {
 		return 0, err
 	}

@@ -42,13 +42,21 @@ func newChainPlan(meta *tce.ChainMeta, height, arity int) *chainPlan {
 		nsorts: len(meta.Sorts),
 		cbytes: meta.CBytes(),
 	}
-	p.width = []int{p.m}
-	for w := p.m; w > 1; {
-		w = (w + arity - 1) / arity
-		p.width = append(p.width, w)
-		p.top++
-	}
+	p.width = treeWidths(p.m, arity)
+	p.top = len(p.width) - 1
 	return p
+}
+
+// treeWidths returns the level widths of an arity-ary reduction tree
+// over m leaves: widths[0] = m, each level ceil-divides the one below,
+// and the last level is the root (the tree height is len-1).
+func treeWidths(m, arity int) []int {
+	widths := []int{m}
+	for w := m; w > 1; {
+		w = (w + arity - 1) / arity
+		widths = append(widths, w)
+	}
+	return widths
 }
 
 // seg returns the segment index of GEMM position l2.

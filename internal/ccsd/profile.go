@@ -1,37 +1,34 @@
 package ccsd
 
 import (
-	"parsec/internal/cgp"
 	"parsec/internal/cluster"
 	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
-	"parsec/internal/sched"
-	"parsec/internal/sim"
 	"parsec/internal/simexec"
 	"parsec/internal/tce"
-	"parsec/internal/trace"
 )
 
-// SimGraph rebuilds the exact graph RunSim executes for the same
-// configuration, without running it: the same kernel inspection, the
-// same GA block placement, and the same build options. Profiling uses
-// it to replay an executed DAG through ptg.Analyze with measured
-// durations (internal/obsv critical-path attribution).
-func SimGraph(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (*ptg.Graph, error) {
+// simGraph builds the exact graph RunSim executes for a configuration —
+// the kernel inspected under the GA block placement of an
+// mcfg.Nodes-node machine, with the same build options — together with
+// the behaviors its WRITE tasks need on the simulator.
+func simGraph(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (*ptg.Graph, map[string]simexec.Behavior, error) {
 	k, err := tce.KernelByName(rc.Kernel, sys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dist := ga.Distribution{Nodes: mcfg.Nodes}
 	w := tce.Inspect(k, func(ref tce.BlockRef) int {
 		return dist.Owner(ref.Tensor, ref.Key)
 	})
-	return BuildGraph(w, spec, Options{
-		Nodes:         mcfg.Nodes,
-		SegmentHeight: rc.SegmentHeight,
-		WriteSpan:     rc.WriteSpan,
-	}), nil
+	shape, err := EffectiveShape(spec, rc.SegmentHeight, rc.WriteSpan)
+	if err != nil {
+		return nil, nil, err
+	}
+	ps := plans(w, shape)
+	opts := Options{Nodes: mcfg.Nodes, SegmentHeight: rc.SegmentHeight, WriteSpan: rc.WriteSpan}
+	return buildGraphFrom(w, spec.Name, shape, opts, ps), simBehaviorsSpan(w, spec, ps, shape.WriteSpan), nil
 }
 
 // AnalyzeVariantSim replays the DAG a simulated run executed, charging
@@ -39,72 +36,9 @@ func SimGraph(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc Si
 // lookup of measured trace spans). The returned Analysis carries the
 // critical path and per-entry durations for class attribution.
 func AnalyzeVariantSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig, dur func(ptg.TaskRef) int64) (ptg.Analysis, error) {
-	g, err := SimGraph(sys, spec, mcfg, rc)
+	g, _, err := simGraph(sys, spec, mcfg, rc)
 	if err != nil {
 		return ptg.Analysis{}, err
 	}
 	return ptg.Analyze(g, func(in *ptg.Instance) int64 { return dur(in.Ref) })
-}
-
-// AnalyzeVariantReal is AnalyzeVariantSim for the single-node
-// shared-memory graph runRealWithOptions executes. The graph is built
-// without a backing store — task bodies are never invoked during
-// replay, only the dataflow is.
-func AnalyzeVariantReal(w *tce.Workload, spec VariantSpec, segHeight int, dur func(ptg.TaskRef) int64) (ptg.Analysis, error) {
-	g := BuildGraph(w, spec, Options{Nodes: 1, SegmentHeight: segHeight})
-	return ptg.Analyze(g, func(in *ptg.Instance) int64 { return dur(in.Ref) })
-}
-
-// RunRealTraced is RunReal with an execution trace: every completed
-// task is recorded as a span on node 0 via runtime.TraceObserver, so
-// real shared-memory runs feed the same profiling pipeline as the
-// simulated ones.
-func RunRealTraced(w *tce.Workload, spec VariantSpec, workers int, tr *trace.Trace) (RealResult, error) {
-	return runRealTraced(w, spec, workers, 0, sched.SharedQueue, tr)
-}
-
-// SimComm tallies the Global-Arrays one-sided traffic of one simulated
-// run: GET_HASH_BLOCK vs ADD_HASH_BLOCK operations and payload bytes.
-type SimComm struct {
-	GetOps, GetBytes int64
-	AccOps, AccBytes int64
-}
-
-// RunSimComm is RunSim additionally returning the GA communication
-// tally, which the profile report combines with the simexec result's
-// per-class network volumes (obsv.CommStats).
-func RunSimComm(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, SimComm, error) {
-	res, gs, err := runSimGA(sys, spec, mcfg, rc)
-	if err != nil {
-		return res, SimComm{}, err
-	}
-	var c SimComm
-	c.GetOps, c.AccOps = gs.Stats()
-	c.GetBytes, c.AccBytes = gs.ByteStats()
-	return res, c, nil
-}
-
-// RunSimBaselineComm is RunSimBaseline additionally returning the GA
-// communication tally — for the original code that tally IS the whole
-// communication story (blocking GET_HASH_BLOCK before every GEMM,
-// ADD_HASH_BLOCK per chain; no dataflow deliveries).
-func RunSimBaselineComm(sys *molecule.System, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace) (sim.Time, SimComm, error) {
-	eng := sim.NewEngine()
-	m := cluster.New(eng, mcfg)
-	gs := ga.NewSim(m)
-	k, err := tce.KernelByName("t2_7", sys)
-	if err != nil {
-		return 0, SimComm{}, err
-	}
-	w := tce.Inspect(k, func(ref tce.BlockRef) int {
-		return gs.Distribution().Owner(ref.Tensor, ref.Key)
-	})
-	res, err := cgp.Run(w, m, gs, cgp.Config{RanksPerNode: ranksPerNode, Trace: tr})
-	if err != nil {
-		return 0, SimComm{}, err
-	}
-	var c SimComm
-	c.GetOps, c.AccOps = gs.Stats()
-	c.GetBytes, c.AccBytes = gs.ByteStats()
-	return res.Makespan, c, nil
 }

@@ -86,86 +86,50 @@ type SimRunConfig struct {
 }
 
 // RunSim executes one variant on a fresh simulated machine built from the
-// cluster configuration, returning the simexec result. The workload must
-// have been inspected; block owners are derived from the machine's GA
-// distribution regardless of how the workload was located, so callers can
-// reuse one inspection across machine sizes.
+// cluster configuration, returning the simexec result. The kernel is
+// inspected here, with block owners derived from the machine's GA
+// distribution.
 func RunSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
-	res, _, err := runSimGA(sys, spec, mcfg, rc)
-	return res, err
-}
-
-// runSimGA is RunSim additionally returning the GA substrate, whose
-// operation counters the profiler reads after the run.
-func runSimGA(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, *ga.Sim, error) {
 	if rc.CoresPerNode <= 0 {
-		return simexec.Result{}, nil, fmt.Errorf("ccsd: CoresPerNode = %d", rc.CoresPerNode)
+		return simexec.Result{}, fmt.Errorf("ccsd: CoresPerNode = %d", rc.CoresPerNode)
 	}
-	eng := sim.NewEngine()
-	m := cluster.New(eng, mcfg)
+	g, behaviors, err := simGraph(sys, spec, mcfg, rc)
+	if err != nil {
+		return simexec.Result{}, err
+	}
+	m := cluster.New(sim.NewEngine(), mcfg)
 	m.SetFaults(rc.Faults)
-	gs := ga.NewSim(m)
-	k, err := tce.KernelByName(rc.Kernel, sys)
-	if err != nil {
-		return simexec.Result{}, nil, err
-	}
-	w := tce.Inspect(k, func(ref tce.BlockRef) int {
-		return gs.Distribution().Owner(ref.Tensor, ref.Key)
-	})
-	shape, err := EffectiveShape(spec, rc.SegmentHeight, rc.WriteSpan)
-	if err != nil {
-		return simexec.Result{}, nil, err
-	}
-	ps := plans(w, shape)
-	g := BuildGraph(w, spec, Options{Nodes: mcfg.Nodes, SegmentHeight: rc.SegmentHeight, WriteSpan: rc.WriteSpan})
-	policy := sched.PriorityOrder
-	if !spec.UsePriorities() {
-		policy = sched.LIFOOrder
-	}
-	res, err := simexec.Run(g, m, gs, simexec.Config{
+	return simexec.Run(g, m, ga.NewSim(m), simexec.Config{
 		CoresPerNode:   rc.CoresPerNode,
-		Policy:         policy,
+		Policy:         spec.Policy(),
 		Queues:         rc.Queues,
-		Behaviors:      simBehaviorsSpan(w, spec, ps, shape.WriteSpan),
+		Behaviors:      behaviors,
 		Trace:          rc.Trace,
 		Horizon:        rc.Horizon,
 		Retry:          rc.Retry,
 		InterNodeSteal: rc.InterNodeSteal,
 	})
-	return res, gs, err
 }
 
 // RunSimBaseline executes the original CGP code path on a fresh simulated
 // machine for the same system, for side-by-side Fig 9 comparisons.
 func RunSimBaseline(sys *molecule.System, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace) (sim.Time, error) {
-	return RunSimBaselineKernel(sys, "t2_7", mcfg, ranksPerNode, tr)
+	res, err := RunSimBaselineFaults(sys, mcfg, ranksPerNode, tr, nil)
+	return res.Makespan, err
 }
 
-// RunSimBaselineKernel is RunSimBaseline with an explicit kernel choice.
-func RunSimBaselineKernel(sys *molecule.System, kernel string, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace) (sim.Time, error) {
-	return RunSimBaselineFaults(sys, kernel, mcfg, ranksPerNode, tr, nil)
-}
-
-// RunSimBaselineFaults is RunSimBaselineKernel under a fault injector.
-// The CGP baseline has no comm threads — its GETs and ACCs are
-// one-sided — so only stragglers and GA-service hiccups apply; its
-// NXTVAL work distribution then rebalances around them on its own,
-// which is the natural contrast to the PTG executors' re-dispatch.
-func RunSimBaselineFaults(sys *molecule.System, kernel string, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace, inj *fault.Injector) (sim.Time, error) {
-	eng := sim.NewEngine()
-	m := cluster.New(eng, mcfg)
+// RunSimBaselineFaults is RunSimBaseline under a fault injector (nil for
+// none), returning the full CGP result with its GA GET/ACC tally. The
+// CGP baseline has no comm threads — its GETs and ACCs are one-sided —
+// so only stragglers and GA-service hiccups apply; its NXTVAL work
+// distribution then rebalances around them on its own, which is the
+// natural contrast to the PTG executors' re-dispatch.
+func RunSimBaselineFaults(sys *molecule.System, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace, inj *fault.Injector) (cgp.Result, error) {
+	m := cluster.New(sim.NewEngine(), mcfg)
 	m.SetFaults(inj)
 	gs := ga.NewSim(m)
-	k, err := tce.KernelByName(kernel, sys)
-	if err != nil {
-		return 0, err
-	}
-	w := tce.Inspect(k, func(ref tce.BlockRef) int {
+	w := tce.Inspect(tce.T2_7(sys), func(ref tce.BlockRef) int {
 		return gs.Distribution().Owner(ref.Tensor, ref.Key)
 	})
-	res, err := cgp.Run(w, m, gs, cgp.Config{RanksPerNode: ranksPerNode, Trace: tr})
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
+	return cgp.Run(w, m, gs, cgp.Config{RanksPerNode: ranksPerNode, Trace: tr})
 }

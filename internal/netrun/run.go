@@ -47,9 +47,10 @@ func RunGraph(cfg Config, build func(rank int) (*ptg.Graph, error)) (*Result, er
 
 // Run executes a CCSD job across cfg.Ranks in-process ranks over real
 // sockets, with the coordinator goroutine serving the Global Arrays.
-// The returned energy must match the single-process RunReal to 1e-12 —
-// the distribution, the wire, and any injected faults may reshuffle who
-// computes what, never what is computed.
+// The returned energy must match the single-process
+// ccsd.CompiledPlan.Execute to 1e-12 — the distribution, the wire, and
+// any injected faults may reshuffle who computes what, never what is
+// computed.
 func Run(cfg Config, spec JobSpec) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -228,18 +229,13 @@ func (s JobSpec) workerJob(ranks int) (*tce.Workload, BuildFn, error) {
 	return w, build, nil
 }
 
-// Policy returns the variant's scheduling policy (priorities when the
-// variant uses them, LIFO otherwise) — the same rule the shared-memory
-// entry points apply.
+// Policy returns the variant's scheduling policy, ccsd.VariantSpec.Policy.
 func (s JobSpec) Policy() (sched.Policy, error) {
 	vs, err := ccsd.VariantByName(s.Variant)
 	if err != nil {
 		return sched.PriorityOrder, err
 	}
-	if !vs.UsePriorities() {
-		return sched.LIFOOrder, nil
-	}
-	return sched.PriorityOrder, nil
+	return vs.Policy(), nil
 }
 
 // coordSpec builds the coordinator's side of the job: the task count,

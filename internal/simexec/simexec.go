@@ -161,6 +161,12 @@ type Result struct {
 	// volume that moved with them.
 	Redispatches    int
 	RedispatchBytes int64
+
+	// GAGets and GAAccs count the Global-Arrays GET_HASH_BLOCK and
+	// ADD_HASH_BLOCK operations, and GAGetBytes/GAAccBytes their
+	// payload volumes, read from the run's ga.Sim when it finishes.
+	GAGets, GAGetBytes int64
+	GAAccs, GAAccBytes int64
 }
 
 // String summarizes the run in one line.
@@ -249,6 +255,10 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 	}
 	ex.res.Makespan = end
 	ex.res.Tasks = tr.NumInstances()
+	if gasim != nil {
+		ex.res.GAGets, ex.res.GAAccs = gasim.Stats()
+		ex.res.GAGetBytes, ex.res.GAAccBytes = gasim.ByteStats()
+	}
 	return ex.res, nil
 }
 

@@ -393,3 +393,33 @@ func TestNoCountersWithoutTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGATallyMatchesSim: the result's GA GET/ACC fields are the counters
+// of the ga.Sim the run used.
+func TestGATallyMatchesSim(t *testing.T) {
+	const n = 6
+	m, gs := testMachine(2, 2)
+	res, err := Run(fanGraph(n, 1e6, 2), m, gs, Config{
+		CoresPerNode: 2,
+		Behaviors: map[string]Behavior{
+			"T": func(ctx *TaskCtx) {
+				ctx.GA.GetHashBlock(ctx.P, ctx.Node, 1-ctx.Node, 4096, 8)
+				if ctx.Inst.Ref.Args[0]%2 == 0 {
+					ctx.GA.AddHashBlock(ctx.P, ctx.Node, ctx.Node, 1024, 4)
+				}
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets, accs := gs.Stats()
+	getBytes, accBytes := gs.ByteStats()
+	if gets != n || accs != n/2 {
+		t.Fatalf("ga.Sim counted %d gets, %d accs; want %d, %d", gets, accs, n, n/2)
+	}
+	if res.GAGets != gets || res.GAAccs != accs || res.GAGetBytes != getBytes || res.GAAccBytes != accBytes {
+		t.Errorf("result tally gets=%d/%dB accs=%d/%dB, ga.Sim gets=%d/%dB accs=%d/%dB",
+			res.GAGets, res.GAGetBytes, res.GAAccs, res.GAAccBytes, gets, getBytes, accs, accBytes)
+	}
+}

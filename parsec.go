@@ -148,18 +148,7 @@ func Run(g *Graph, cfg RunConfig) (Report, error) { return runtime.Run(g, cfg) }
 // shared-memory executions can be rendered with the same Gantt tooling
 // as the simulated runs (all events land on node 0; the worker index is
 // the thread row).
-func RuntimeTraceObserver(tr *Trace) func(runtime.Event) {
-	return func(e runtime.Event) {
-		tr.Add(trace.Event{
-			Node:   0,
-			Thread: e.Worker,
-			Class:  e.Task.Class,
-			Label:  e.Task.String(),
-			Start:  e.Start.Nanoseconds(),
-			End:    e.End.Nanoseconds(),
-		})
-	}
-}
+func RuntimeTraceObserver(tr *Trace) func(runtime.Event) { return runtime.TraceObserver(0, tr) }
 
 // ---- chemistry application layer ----
 
@@ -200,14 +189,7 @@ type RealResult = ccsd.RealResult
 // RunCCSD executes one variant of the ported subroutine with real tensor
 // arithmetic on the goroutine runtime.
 func RunCCSD(w *Workload, spec VariantSpec, workers int) (RealResult, error) {
-	return ccsd.RunReal(w, spec, workers)
-}
-
-// RunCCSDQueued is RunCCSD with an explicit ready-queue mode, for
-// comparing the shared queue against per-worker queues on the real
-// workload.
-func RunCCSDQueued(w *Workload, spec VariantSpec, workers int, queue QueueMode) (RealResult, error) {
-	return ccsd.RunRealQueued(w, spec, workers, queue)
+	return ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1}).Execute(ccsd.ExecConfig{Workers: workers})
 }
 
 // ReferenceEnergy computes the serial ground-truth correlation-energy
