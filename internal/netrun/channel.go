@@ -440,9 +440,10 @@ type transport struct {
 
 	// handler receives every deduplicated inbound data frame. It runs on
 	// the inbound connection's goroutine; slow work must be handed off.
+	// Set by serve.
 	handler func(from int, f frame)
 	// onSeen, if set, observes every inbound frame's sender before
-	// dedup — the coordinator's liveness signal.
+	// dedup — the coordinator's liveness signal. Set by serve.
 	onSeen func(from int)
 
 	mu       sync.Mutex
@@ -487,9 +488,17 @@ func newTransport(local int, network, listenAddr string, retry RetryPolicy, inj 
 		seen:     make(map[int]map[uint64]bool),
 		sessions: make(map[int]*session),
 	}
+	return tp, nil
+}
+
+// serve installs the inbound frame handlers and starts accepting
+// connections. Nothing is accepted before: a peer that dials a recycled
+// address early waits in the listen backlog instead of racing the
+// handler assignment.
+func (tp *transport) serve(handler func(from int, f frame), onSeen func(from int)) {
+	tp.handler, tp.onSeen = handler, onSeen
 	tp.wg.Add(1)
 	go tp.acceptLoop()
-	return tp, nil
 }
 
 // addr returns the listener's address string.

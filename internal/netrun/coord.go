@@ -103,8 +103,7 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 		co.store.Create(name)
 		co.served[name] = true
 	}
-	tp.handler = co.handle
-	tp.onSeen = co.noteSeen
+	tp.serve(co.handle, co.noteSeen)
 	tp.runRetryTimer(co.fail)
 	return co, nil
 }

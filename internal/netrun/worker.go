@@ -66,7 +66,7 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 		return err
 	}
 	w.eng = newEngine(cfg, rank, tp, tr)
-	tp.handler = w.handle
+	tp.serve(w.handle, nil)
 	tp.connect(coordRank, coordAddr)
 	tp.runRetryTimer(w.eng.fail)
 	tp.sendTo(coordRank, msgRegister, registerMsg{Rank: rank, Addr: tp.addr()}.encode())

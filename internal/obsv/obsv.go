@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -375,7 +376,10 @@ func FromTrace(name string, t *trace.Trace) *Profile {
 	for _, e := range evs {
 		reg.Observe(e.Class, e.Duration())
 	}
-	for _, class := range reg.Classes() {
+	classes := reg.Classes()
+	// Exact capacity: finished service jobs keep their profiles.
+	p.Classes = slices.Grow(p.Classes, len(classes))
+	for _, class := range classes {
 		h := reg.Histogram(class)
 		p.Classes = append(p.Classes, ClassProfile{
 			Class: class,

@@ -26,6 +26,7 @@ package ptg
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"parsec/internal/team"
 	"parsec/internal/tensor/pool"
@@ -77,7 +78,17 @@ type TaskRef struct {
 // String renders the canonical task label, e.g. "GEMM(1,2,3)" — the
 // format traces and DAG replays key on.
 func (r TaskRef) String() string {
-	return fmt.Sprintf("%s(%d,%d,%d)", r.Class, r.Args[0], r.Args[1], r.Args[2])
+	// Built on the stack; the string conversion is the one allocation.
+	var buf [64]byte
+	b := append(buf[:0], r.Class...)
+	b = append(b, '(')
+	for i, v := range r.Args {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return string(append(b, ')'))
 }
 
 // DataRef names a terminal datum outside the task graph (for this
@@ -128,6 +139,8 @@ type Cost struct {
 }
 
 // Ctx is the execution context handed to a task body by the real runtime.
+// It is valid only while the body runs: the runtime reuses it, In and
+// Out included, for the worker's next task.
 type Ctx struct {
 	Args Args
 	Node int
@@ -136,7 +149,8 @@ type Ctx struct {
 	// order-sensitive side effects such as ordered accumulations.
 	Seq int
 	// In holds the payload received on each flow (indexed like
-	// TaskClass.Flows); nil for inactive flows and for New buffers of the
+	// TaskClass.Flows); nil for inactive flows, for terminal-data flows
+	// (the body fetches the datum itself), and for New buffers of the
 	// sim-only path.
 	In []any
 	// Out holds the payload forwarded to each flow's consumers. It is
@@ -203,30 +217,33 @@ type TaskClass struct {
 	// of the producer's datum, like the per-node WRITE_C instances of
 	// Fig 8 that each receive only the segment relevant to their node.
 	InBytes func(a Args, flow string) int64
-
-	flowIdx map[string]int
 }
 
 // AddFlow appends a flow to the class and returns it for chaining.
 func (tc *TaskClass) AddFlow(name string, mode Mode) *Flow {
-	if _, dup := tc.flowIdx[name]; dup {
+	if _, dup := tc.FlowIndex(name); dup {
 		panic(fmt.Sprintf("ptg: duplicate flow %s.%s", tc.Name, name))
 	}
 	f := &Flow{Name: name, Mode: mode}
-	tc.flowIdx[name] = len(tc.Flows)
 	tc.Flows = append(tc.Flows, f)
 	return f
 }
 
 // FlowIndex returns the index of the named flow and whether it exists.
+// Classes have a handful of flows, so a scan beats hashing the name: the
+// tracker resolves one per dataflow edge.
 func (tc *TaskClass) FlowIndex(name string) (int, bool) {
-	i, ok := tc.flowIdx[name]
-	return i, ok
+	for i, f := range tc.Flows {
+		if f.Name == name {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 // MustFlowIndex returns the index of the named flow, panicking if absent.
 func (tc *TaskClass) MustFlowIndex(name string) int {
-	i, ok := tc.flowIdx[name]
+	i, ok := tc.FlowIndex(name)
 	if !ok {
 		panic(fmt.Sprintf("ptg: no flow %s.%s", tc.Name, name))
 	}
@@ -280,7 +297,7 @@ func (g *Graph) Class(name string) *TaskClass {
 	if _, dup := g.classes[name]; dup {
 		panic(fmt.Sprintf("ptg: duplicate class %s", name))
 	}
-	tc := &TaskClass{Name: name, flowIdx: make(map[string]int)}
+	tc := &TaskClass{Name: name}
 	g.classes[name] = tc
 	g.order = append(g.order, tc)
 	return tc

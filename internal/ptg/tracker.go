@@ -43,8 +43,11 @@ type Instance struct {
 	Seq      int // creation index; deterministic tie-breaker
 	State    InstState
 
-	// In holds the payload per flow index; nil for inactive flows and
-	// for task-sourced flows not yet delivered.
+	// In holds the payload per flow index; nil for inactive flows, for
+	// task-sourced flows not yet delivered, and for terminal-data flows
+	// (InDep.Data), which start delivered with no payload: bodies read
+	// terminal data themselves. Complete clears it, since executors
+	// forward Ctx.Out and never In.
 	In        []any
 	delivered []bool
 	fromTask  []bool
@@ -92,37 +95,170 @@ type TerminalWrite struct {
 // (Start, Complete, Deliver, CheckQuiescent) synchronize on the
 // tracker's own mutex, so concurrent executors can call them directly
 // without holding any scheduler lock; Done and Remaining are lock-free.
+//
+// Instances carry dense IDs: an instance's Seq is its index in one slab
+// that holds every instance of the run, and its flow bookkeeping lives
+// in three more slabs indexed by flow offset. Each class resolves Args
+// to an ID through a table over its argument bounding box, so finding a
+// successor costs a short class scan and an array index, not a hash.
 type Tracker struct {
-	G         *Graph
-	instances map[TaskRef]*Instance
-	order     []*Instance
+	G       *Graph
+	classes []classTable // definition order
+	order   []*Instance  // creation order: &slab[Seq]
 
 	mu        sync.Mutex // guards instance state transitions + completed
 	remaining atomic.Int64
 	completed int
 }
 
+// maxBoxFill bounds a class's dense lookup table: a class whose argument
+// bounding box holds more than maxBoxFill cells per instance is indexed
+// through a map instead.
+const maxBoxFill = 4
+
+// classTable maps one class's Args to dense instance IDs.
+type classTable struct {
+	tc *TaskClass
+	lo Args // bounding-box origin
+	// dim is the box extent per parameter; all zero for an empty class,
+	// so every lookup misses. Unused when sparse is set.
+	dim Args
+	// ids holds the instance ID of each box cell (row-major over Args),
+	// -1 for holes; nil when the class is indexed by sparse instead.
+	ids    []int32
+	sparse map[Args]int32
+}
+
+// newClassTable indexes a class's instances, whose IDs run from first in
+// the order of args. It panics if the domain emitted an Args twice.
+func newClassTable(tc *TaskClass, args []Args, first int) classTable {
+	ct := classTable{tc: tc}
+	if len(args) == 0 {
+		return ct
+	}
+	lo, hi := args[0], args[0]
+	for _, a := range args[1:] {
+		for k := range a {
+			lo[k] = min(lo[k], a[k])
+			hi[k] = max(hi[k], a[k])
+		}
+	}
+	ct.lo = lo
+	limit := uint64(maxBoxFill * len(args))
+	box := uint64(1)
+	for k := range hi {
+		// Wrapping subtraction keeps the extent exact for any lo <= hi.
+		d := uint64(hi[k]-lo[k]) + 1
+		if d == 0 || d > limit/box {
+			box = 0 // more than limit cells (or an overflowing extent)
+			break
+		}
+		box *= d
+		ct.dim[k] = int(d)
+	}
+	dup := func(a Args) {
+		panic(fmt.Sprintf("ptg: domain of %s emits %v twice", tc.Name, a))
+	}
+	if box == 0 {
+		ct.sparse = make(map[Args]int32, len(args))
+		for i, a := range args {
+			if _, ok := ct.sparse[a]; ok {
+				dup(a)
+			}
+			ct.sparse[a] = int32(first + i)
+		}
+		return ct
+	}
+	ct.ids = make([]int32, box)
+	for i := range ct.ids {
+		ct.ids[i] = -1
+	}
+	for i, a := range args {
+		cell := &ct.ids[ct.cell(a)]
+		if *cell >= 0 {
+			dup(a)
+		}
+		*cell = int32(first + i)
+	}
+	return ct
+}
+
+// cell returns the row-major box index of a, or -1 if a lies outside the
+// box (always, for an empty class).
+func (ct *classTable) cell(a Args) int {
+	lin := 0
+	for k := range a {
+		// The unsigned compare rejects both sides of the box at once and
+		// is exact even where a[k]-lo[k] wraps.
+		d := a[k] - ct.lo[k]
+		if uint(d) >= uint(ct.dim[k]) {
+			return -1
+		}
+		lin = lin*ct.dim[k] + d
+	}
+	return lin
+}
+
+// id returns the instance ID of a, or -1 if the class has no such
+// instance.
+func (ct *classTable) id(a Args) int32 {
+	if ct.sparse != nil {
+		if id, ok := ct.sparse[a]; ok {
+			return id
+		}
+		return -1
+	}
+	c := ct.cell(a)
+	if c < 0 {
+		return -1
+	}
+	return ct.ids[c]
+}
+
 // NewTracker validates the graph, enumerates every instance, resolves
-// input alternatives, and computes initial readiness.
+// input alternatives, and computes initial readiness. Each domain is
+// enumerated once. Terminal-data inputs (InDep.Data) are not evaluated:
+// their flows start delivered with a nil payload, since bodies read
+// terminal data themselves.
 func NewTracker(g *Graph) (*Tracker, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Tracker{G: g, instances: make(map[TaskRef]*Instance)}
-	for _, tc := range g.Classes() {
-		tc.Domain(func(a Args) {
-			ref := TaskRef{Class: tc.Name, Args: a}
-			if _, dup := t.instances[ref]; dup {
-				panic(fmt.Sprintf("ptg: domain of %s emits %v twice", tc.Name, a))
-			}
-			inst := &Instance{
-				Ref:       ref,
+	classes := g.Classes()
+	var args []Args
+	ends := make([]int, len(classes))
+	nflows := 0
+	for ci, tc := range classes {
+		n := len(args)
+		tc.Domain(func(a Args) { args = append(args, a) })
+		ends[ci] = len(args)
+		nflows += (len(args) - n) * len(tc.Flows)
+	}
+	t := &Tracker{
+		G:       g,
+		classes: make([]classTable, len(classes)),
+		order:   make([]*Instance, len(args)),
+	}
+	slab := make([]Instance, len(args))
+	ins := make([]any, nflows)
+	delivered := make([]bool, nflows)
+	fromTask := make([]bool, nflows)
+	id, off := 0, 0
+	for ci, tc := range classes {
+		first := id
+		nf := len(tc.Flows)
+		for ; id < ends[ci]; id++ {
+			a := args[id]
+			inst := &slab[id]
+			*inst = Instance{
+				Ref:       TaskRef{Class: tc.Name, Args: a},
 				Class:     tc,
-				Seq:       len(t.order),
-				In:        make([]any, len(tc.Flows)),
-				delivered: make([]bool, len(tc.Flows)),
-				fromTask:  make([]bool, len(tc.Flows)),
+				Seq:       id,
+				In:        ins[off : off+nf : off+nf],
+				delivered: delivered[off : off+nf : off+nf],
+				fromTask:  fromTask[off : off+nf : off+nf],
 			}
+			off += nf
 			if tc.Affinity != nil {
 				inst.Node = tc.Affinity(a)
 			}
@@ -139,7 +275,6 @@ func NewTracker(g *Graph) (*Tracker, error) {
 					inst.fromTask[fi] = true
 					inst.pending++
 				case dep.Data != nil:
-					inst.In[fi] = dep.Data(a)
 					inst.delivered[fi] = true
 				case dep.New != nil:
 					inst.In[fi] = NewBuffer{Bytes: dep.New(a)}
@@ -149,9 +284,9 @@ func NewTracker(g *Graph) (*Tracker, error) {
 			if inst.pending == 0 {
 				inst.State = StateReady
 			}
-			t.instances[ref] = inst
-			t.order = append(t.order, inst)
-		})
+			t.order[id] = inst
+		}
+		t.classes[ci] = newClassTable(tc, args[first:id], first)
 	}
 	t.remaining.Store(int64(len(t.order)))
 	return t, nil
@@ -167,6 +302,21 @@ func matchIn(f *Flow, a Args) (InDep, bool) {
 	return InDep{}, false
 }
 
+// consumer resolves the target of one of producer flow f's task-sourced
+// output dependencies, evaluated at the producer's args.
+func (t *Tracker) consumer(from *Instance, f *Flow, dst func(Args) (TaskRef, string)) (*Instance, int, error) {
+	ref, flow := dst(from.Ref.Args)
+	to := t.Instance(ref)
+	if to == nil {
+		return nil, 0, fmt.Errorf("ptg: %v flow %s targets nonexistent task %v", from.Ref, f.Name, ref)
+	}
+	fi, ok := to.Class.FlowIndex(flow)
+	if !ok {
+		return nil, 0, fmt.Errorf("ptg: %v flow %s targets nonexistent flow %s.%s", from.Ref, f.Name, ref.Class, flow)
+	}
+	return to, fi, nil
+}
+
 // NumInstances returns the total number of task instances.
 func (t *Tracker) NumInstances() int { return len(t.order) }
 
@@ -177,7 +327,17 @@ func (t *Tracker) Remaining() int { return int(t.remaining.Load()) }
 func (t *Tracker) Done() bool { return t.remaining.Load() == 0 }
 
 // Instance returns the instance for a reference, or nil.
-func (t *Tracker) Instance(ref TaskRef) *Instance { return t.instances[ref] }
+func (t *Tracker) Instance(ref TaskRef) *Instance {
+	for i := range t.classes {
+		if ct := &t.classes[i]; ct.tc.Name == ref.Class {
+			if id := ct.id(ref.Args); id >= 0 {
+				return t.order[id]
+			}
+			return nil
+		}
+	}
+	return nil
+}
 
 // Instances returns all instances in deterministic creation order.
 // Callers must not mutate the returned slice.
@@ -247,25 +407,24 @@ func (t *Tracker) Complete(in *Instance) ([]Delivery, []TerminalWrite, error) {
 				writes = append(writes, TerminalWrite{From: in, FromFlow: fi, Data: out.Data(a)})
 				continue
 			}
-			toRef, toFlowName := out.Consumer(a)
-			to := t.instances[toRef]
-			if to == nil {
-				return nil, nil, fmt.Errorf("ptg: %v flow %s targets nonexistent task %v", in.Ref, f.Name, toRef)
-			}
-			toFlow, ok := to.Class.FlowIndex(toFlowName)
-			if !ok {
-				return nil, nil, fmt.Errorf("ptg: %v flow %s targets nonexistent flow %s.%s", in.Ref, f.Name, toRef.Class, toFlowName)
+			to, toFlow, err := t.consumer(in, f, out.Consumer)
+			if err != nil {
+				return nil, nil, err
 			}
 			var bytes int64
 			if in.Class.FlowBytes != nil {
 				bytes = in.Class.FlowBytes(a, f.Name)
 			}
 			if to.Class.InBytes != nil {
-				bytes = to.Class.InBytes(toRef.Args, toFlowName)
+				bytes = to.Class.InBytes(to.Ref.Args, to.Class.Flows[toFlow].Name)
 			}
 			dels = append(dels, Delivery{From: in, FromFlow: fi, To: to, ToFlow: toFlow, Bytes: bytes})
 		}
 	}
+	// Executors forward Ctx.Out, never In: dropping the payloads keeps a
+	// stale *Instance from pinning its inputs (and, through the slab,
+	// every instance's inputs).
+	clear(in.In)
 	return dels, writes, nil
 }
 
@@ -348,20 +507,12 @@ func (t *Tracker) CompleteDeliver(in *Instance, outs []any, ready []*Instance) (
 	a := in.Ref.Args
 	for fi, f := range in.Class.Flows {
 		for _, out := range f.Outs {
-			if out.Guard != nil && !out.Guard(a) {
+			if out.Data != nil || (out.Guard != nil && !out.Guard(a)) {
 				continue
 			}
-			if out.Data != nil {
-				continue
-			}
-			toRef, toFlowName := out.Consumer(a)
-			to := t.instances[toRef]
-			if to == nil {
-				return ready, fmt.Errorf("ptg: %v flow %s targets nonexistent task %v", in.Ref, f.Name, toRef)
-			}
-			toFlow, ok := to.Class.FlowIndex(toFlowName)
-			if !ok {
-				return ready, fmt.Errorf("ptg: %v flow %s targets nonexistent flow %s.%s", in.Ref, f.Name, toRef.Class, toFlowName)
+			to, toFlow, err := t.consumer(in, f, out.Consumer)
+			if err != nil {
+				return ready, err
 			}
 			became, err := t.deliverLocked(to, toFlow, outs[fi])
 			if err != nil {
@@ -372,6 +523,7 @@ func (t *Tracker) CompleteDeliver(in *Instance, outs []any, ready []*Instance) (
 			}
 		}
 	}
+	clear(in.In)
 	return ready, nil
 }
 

@@ -31,6 +31,7 @@ import (
 
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
+	"parsec/internal/team"
 	"parsec/internal/tensor/pool"
 )
 
@@ -154,10 +155,15 @@ type workerState struct {
 	probes    int64 // steal attempts
 	steals    int64
 	busy      time.Duration
-	parkedFor time.Duration // time spent blocked in park (coarse busy accounting)
-	byClass   map[string]int
+	parkedFor time.Duration     // time spent blocked in park (coarse busy accounting)
 	scratch   []*ptg.Instance   // reusable ready-successor buffer
 	buckets   [][]*ptg.Instance // reusable per-shard batch buckets
+	// ctx and out are the task context and Out buffer every body this
+	// worker runs reuses, and par is its Ctx.Par handle, boxed once: the
+	// dispatch path allocates nothing per task.
+	ctx ptg.Ctx
+	out []any
+	par team.Parallelism
 	// loc is the worker's scratch shard for pooled kernel buffers:
 	// single-owner Get/Put cycles stay on this unsynchronized free list
 	// instead of the shared size-class pool.
@@ -197,8 +203,8 @@ func Run(g *ptg.Graph, cfg Config) (Report, error) {
 	for i := range r.ws {
 		r.ws[i].park = make(chan struct{}, 1)
 		r.ws[i].rng = sched.NewRNG(i)
-		r.ws[i].byClass = make(map[string]int)
 		r.ws[i].loc = pool.NewLocal()
+		r.ws[i].par = workerTeam{r: r, id: i}
 	}
 
 	initial := tr.InitialReady()
@@ -245,7 +251,7 @@ func Run(g *ptg.Graph, cfg Config) (Report, error) {
 
 	rep := Report{
 		Tasks:   tr.NumInstances() - tr.Remaining(),
-		ByClass: make(map[string]int),
+		ByClass: doneByClass(tr),
 		Workers: workers,
 		Elapsed: time.Since(r.start),
 		Sched:   SchedStats{PerWorkerTasks: make([]int64, workers)},
@@ -259,9 +265,6 @@ func Run(g *ptg.Graph, cfg Config) (Report, error) {
 		rep.Sched.Steals += ws.steals
 		rep.Sched.LendSpans += ws.spans
 		rep.Sched.LendHelped += ws.helped
-		for c, n := range ws.byClass {
-			rep.ByClass[c] += n
-		}
 		ws.loc.Drain()
 	}
 	rep.Sched.Wakes = r.wakes.Load()
@@ -271,6 +274,30 @@ func Run(g *ptg.Graph, cfg Config) (Report, error) {
 		}
 	}
 	return rep, r.err
+}
+
+// doneByClass counts the completed instances of each class. Instances
+// are numbered class by class, so one pass with a running count per
+// class builds the map without a lookup per task.
+func doneByClass(tr *ptg.Tracker) map[string]int {
+	by := make(map[string]int)
+	var cur *ptg.TaskClass
+	n := 0
+	for _, in := range tr.Instances() {
+		if in.Class != cur {
+			if n > 0 {
+				by[cur.Name] += n
+			}
+			cur, n = in.Class, 0
+		}
+		if in.State == ptg.StateDone {
+			n++
+		}
+	}
+	if n > 0 {
+		by[cur.Name] += n
+	}
+	return by
 }
 
 type runner struct {
@@ -623,16 +650,21 @@ func (r *runner) work(id int) {
 
 func (r *runner) execute(worker int, in *ptg.Instance) error {
 	ws := &r.ws[worker]
-	ctx := &ptg.Ctx{
+	if len(ws.out) < len(in.In) {
+		ws.out = make([]any, len(in.In))
+	}
+	out := ws.out[:len(in.In)]
+	copy(out, in.In)
+	ws.ctx = ptg.Ctx{
 		Args: in.Ref.Args,
 		Node: in.Node,
 		Seq:  in.Seq,
 		In:   in.In,
-		Out:  make([]any, len(in.In)),
+		Out:  out,
 		Pool: ws.loc,
-		Par:  workerTeam{r: r, id: worker},
+		Par:  ws.par,
 	}
-	copy(ctx.Out, in.In)
+	ctx := &ws.ctx
 	obs := r.cfg.Observer
 	if delay := r.cfg.TaskDelay; delay != nil {
 		if d := delay(worker, in.Ref); d > 0 {
@@ -656,13 +688,13 @@ func (r *runner) execute(worker int, in *ptg.Instance) error {
 		dur = time.Since(t0)
 		ws.busy += dur
 	}
-	ws.byClass[in.Ref.Class]++
 	ws.tasks++
 
 	// Completion and successor activation synchronize on the tracker's
 	// own lock, not on any scheduler structure. One lock acquisition
 	// covers the completion and every delivery it triggers.
 	ready, err := r.tr.CompleteDeliver(in, ctx.Out, ws.scratch[:0])
+	clear(ctx.Out) // the successors hold the payloads now
 	if err != nil {
 		return err
 	}

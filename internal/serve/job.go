@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"parsec/internal/ccsd"
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 )
@@ -148,8 +147,7 @@ type JobStatus struct {
 type job struct {
 	id        string
 	spec      JobSpec
-	sys       *molecule.System
-	vspec     ccsd.VariantSpec
+	sys       *molecule.System // compile input; nil once terminal
 	key       string
 	submitted time.Time
 	// foot is the estimated tensor footprint; accounted tracks whether

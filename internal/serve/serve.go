@@ -283,7 +283,7 @@ func (s *Server) restore(st *replayState) []*job {
 		default:
 			sys, err := rj.Spec.system()
 			if err == nil {
-				j.vspec, err = ccsd.VariantByName(rj.Spec.Variant)
+				_, err = ccsd.VariantByName(rj.Spec.Variant)
 			}
 			if err != nil {
 				j.state = JobFailed
@@ -383,7 +383,6 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		id:        fmt.Sprintf("j%d-%06d", s.epoch, s.nextID),
 		spec:      spec,
 		sys:       sys,
-		vspec:     vspec,
 		key:       PlanKey(sys, shape, spec.Nodes),
 		foot:      foot,
 		submitted: time.Now(),
@@ -531,7 +530,12 @@ func (s *Server) runJob(j *job) {
 	}
 
 	plan, hit, err := s.cache.Get(j.key, func() (*ccsd.CompiledPlan, error) {
-		return ccsd.Compile(j.sys, j.vspec, ccsd.Options{
+		// Submit validated the variant; only a cache miss resolves it.
+		vspec, err := ccsd.VariantByName(j.spec.Variant)
+		if err != nil {
+			return nil, err
+		}
+		return ccsd.Compile(j.sys, vspec, ccsd.Options{
 			Nodes:         j.spec.Nodes,
 			SegmentHeight: j.spec.SegmentHeight,
 			WriteSpan:     j.spec.WriteSpan,
@@ -696,9 +700,12 @@ func (s *Server) finishFailed(j *job, err error) {
 }
 
 // noteTerminal runs exactly once per job as it reaches a terminal
-// state: it releases the job's admission footprint and journals the
-// transition.
+// state: it releases the job's admission footprint, drops the molecule
+// the job table would otherwise keep alive for the server's lifetime,
+// and journals the transition. It runs on the job's runJob goroutine,
+// after the last read of j.sys.
 func (s *Server) noteTerminal(j *job, rec Record) {
+	j.sys = nil
 	s.mu.Lock()
 	if j.accounted {
 		j.accounted = false

@@ -367,3 +367,54 @@ func TestHTTPBackpressure429(t *testing.T) {
 		t.Errorf("Retry-After = %q, want \"3\"", ra)
 	}
 }
+
+// TestTerminalJobsDropSystem checks that done, failed and canceled jobs
+// no longer hold their molecule: the job table keeps every finished
+// job, so a retained *molecule.System would grow the server's heap with
+// its history.
+func TestTerminalJobsDropSystem(t *testing.T) {
+	gate := make(chan struct{})
+	s := New(Config{MaxConcurrent: 1, QueueDepth: 4})
+	s.hookJobStart = func(*job) { <-gate }
+	done, err := s.Submit(JobSpec{Preset: "water"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, err := s.Submit(JobSpec{Preset: "water"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Cancel(canceled.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+
+	// Every job dispatches to netrun here, and the hook breaks its
+	// variant before the backend resolves the policy: the job fails.
+	sf := New(Config{MaxConcurrent: 1, NetrunBytes: 1})
+	sf.hookJobStart = func(j *job) { j.spec.Variant = "no-such-variant" }
+	failed, err := sf.Submit(JobSpec{Preset: "water"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Shutdown joins the job goroutines, so the fields read below are
+	// race-free.
+	s.Shutdown()
+	sf.Shutdown()
+	for _, c := range []struct {
+		s    *Server
+		id   string
+		want JobState
+	}{{s, done.ID, JobDone}, {s, canceled.ID, JobCanceled}, {sf, failed.ID, JobFailed}} {
+		c.s.mu.Lock()
+		j := c.s.jobs[c.id]
+		c.s.mu.Unlock()
+		if j.state != c.want {
+			t.Fatalf("job %s state = %s, want %s", c.id, j.state, c.want)
+		}
+		if j.sys != nil {
+			t.Errorf("%s job %s still holds its *molecule.System", j.state, c.id)
+		}
+	}
+}

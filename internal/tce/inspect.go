@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // GemmMeta is one entry of the inspection phase's metadata arrays: the
@@ -48,6 +49,11 @@ func (c *ChainMeta) Flops() int64 {
 type Workload struct {
 	Kernel *Kernel
 	Chains []*ChainMeta
+
+	// blocks memoizes UniqueBlocks per tensor name: the lists are a pure
+	// function of the (immutable after Inspect) chains.
+	blocksMu sync.Mutex
+	blocks   map[string][]BlockRef
 }
 
 // Locator maps a block to the node that owns its Global Array storage.
@@ -159,9 +165,26 @@ func (s Stats) String() string {
 }
 
 // UniqueBlocks returns the distinct input blocks of a tensor referenced by
-// the workload, in deterministic order. Used to size and fill the Global
-// Arrays before execution.
+// the workload, in deterministic order (sorted by BlockRef.String). Used
+// to size and fill the Global Arrays before execution. The list is
+// computed once per tensor and shared: callers must not modify it. Safe
+// for concurrent use.
 func (w *Workload) UniqueBlocks(tensorName string) []BlockRef {
+	w.blocksMu.Lock()
+	defer w.blocksMu.Unlock()
+	if bs, ok := w.blocks[tensorName]; ok {
+		return bs
+	}
+	if w.blocks == nil {
+		w.blocks = make(map[string][]BlockRef)
+	}
+	bs := w.uniqueBlocks(tensorName)
+	w.blocks[tensorName] = bs
+	return bs
+}
+
+// uniqueBlocks computes UniqueBlocks from the chains.
+func (w *Workload) uniqueBlocks(tensorName string) []BlockRef {
 	seen := make(map[string]BlockRef)
 	for _, c := range w.Chains {
 		if c.Out.Tensor == tensorName {

@@ -2,6 +2,9 @@ package tce
 
 import (
 	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +204,43 @@ func TestUniqueBlocksDeterministicAndComplete(t *testing.T) {
 		for _, g := range c.Gemms {
 			if !set[g.Op.A.String()] {
 				t.Fatalf("missing A block %v", g.Op.A)
+			}
+		}
+	}
+}
+
+// TestUniqueBlocksMemoConcurrent races the first UniqueBlocks calls of
+// a fresh workload (run it under -race): every caller must get the one
+// memoized list, in exactly the order a fresh computation gives.
+func TestUniqueBlocksMemoConcurrent(t *testing.T) {
+	sys := molecule.Water631G()
+	fresh := Inspect(T2_7(sys), nil)
+	w := Inspect(T2_7(sys), nil)
+	names := []string{TensorA, TensorB, TensorC}
+	const callers = 8
+	got := make([][][]BlockRef, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range names {
+				got[c] = append(got[c], w.UniqueBlocks(n))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, n := range names {
+		want := fresh.uniqueBlocks(n)
+		if !sort.SliceIsSorted(want, func(a, b int) bool { return want[a].String() < want[b].String() }) {
+			t.Fatalf("%s: fresh list not in BlockRef.String order", n)
+		}
+		for c := range got {
+			if !slices.Equal(got[c][i], want) {
+				t.Fatalf("%s: caller %d got %d blocks differing from a fresh computation", n, c, len(got[c][i]))
+			}
+			if &got[c][i][0] != &got[0][i][0] {
+				t.Errorf("%s: caller %d got its own copy, want the memoized list", n, c)
 			}
 		}
 	}
