@@ -1,6 +1,7 @@
 package ccsd
 
 import (
+	"sync/atomic"
 	"time"
 
 	"parsec/internal/ga"
@@ -19,6 +20,10 @@ import (
 // is a pure function of those inputs — no Global Arrays store, no
 // scheduler state — so a plan compiled once can back any number of
 // executions, which is what the service's content-keyed cache holds.
+//
+// From its second Execute on, a plan also keeps its filled input
+// tensors and energy weights resident (see Execute); they are a pure
+// function of the workload too, so callers still see a read-only value.
 type CompiledPlan struct {
 	// Spec is the algorithmic variant the plan was compiled for.
 	Spec VariantSpec
@@ -40,6 +45,12 @@ type CompiledPlan struct {
 	PlanTime    time.Duration
 
 	ps []*chainPlan
+
+	// execs counts the Executes that filled their own inputs; resident
+	// holds the set the second of them published (nil before it, and
+	// after DropResident).
+	execs    atomic.Int64
+	resident atomic.Pointer[planInputs]
 }
 
 // Compile runs the inspection phase and chain planning for the T2_7
@@ -134,12 +145,21 @@ type ExecConfig struct {
 	TaskDelay func(worker int, ref ptg.TaskRef) time.Duration
 }
 
-// Execute runs the compiled plan once: it creates a fresh store, fills
-// the input tensors, binds the graph, and executes it, returning the
-// correlation energy. Concurrent Executes of the same plan are safe —
-// the plan is read-only after Compile.
+// Execute runs the compiled plan once: it binds the input tensors
+// read-only to a fresh store holding an empty output tensor, executes
+// the graph, folds the ordered output accumulations on cfg.Workers
+// goroutines (ga.Store.Fold) and contracts the output with the energy
+// weights in block-key order, returning the correlation energy.
+//
+// The first Execute fills the inputs and weights privately. The second
+// fills them once more and publishes them on the plan, and every later
+// Execute attaches the resident copy instead of filling: a one-shot plan
+// sitting in a cache holds no tensors, a reused one pays only for its
+// graph. Concurrent Executes of the same plan are safe; the inputs are
+// never written after they are filled.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
-	store := newInputStore(p.Workload)
+	in := p.inputs()
+	store := newInputStore(p.Workload, in.a, in.b)
 	rcfg := runtime.Config{
 		Workers:   cfg.Workers,
 		Policy:    p.Spec.Policy(),
@@ -155,7 +175,35 @@ func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
 		return RealResult{}, err
 	}
 	return RealResult{
-		Energy: p.Workload.Energy(store.Array(tce.TensorC)),
+		Energy: store.Fold(tce.TensorC, cfg.Workers).Dot(in.weights),
 		Report: rep,
 	}, nil
 }
+
+// inputs returns the plan's resident inputs, or fills a fresh set. The
+// fill runs without a lock: concurrent first and second Executes may
+// both fill, and the compare-and-swap publishes at most one set.
+func (p *CompiledPlan) inputs() *planInputs {
+	if in := p.resident.Load(); in != nil {
+		return in
+	}
+	in := materializeInputs(p.Workload)
+	if p.execs.Add(1) >= 2 {
+		p.resident.CompareAndSwap(nil, in)
+	}
+	return in
+}
+
+// ResidentBytes returns the tile storage of the plan's resident inputs
+// and energy weights: 0 until its second Execute and after DropResident.
+func (p *CompiledPlan) ResidentBytes() int64 {
+	if in := p.resident.Load(); in != nil {
+		return in.bytes
+	}
+	return 0
+}
+
+// DropResident releases the plan's resident inputs; the plan stays
+// usable, and its next Execute fills and publishes them again.
+// Executions already holding them are unaffected.
+func (p *CompiledPlan) DropResident() { p.resident.Store(nil) }

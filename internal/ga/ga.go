@@ -15,6 +15,7 @@ package ga
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,11 +60,13 @@ type API interface {
 }
 
 // Store is the real, shared-memory Global Arrays implementation: named
-// block tensors plus a shared counter. All methods are safe for
+// block tensors plus a shared counter. Arrays are registered with Create
+// (writable, owned by the store) or Attach (read-only, shared with other
+// stores) before execution starts; every other method is safe for
 // concurrent use.
 type Store struct {
 	dist    Distribution
-	tensors map[string]*tensor.BlockTensor4
+	tensors map[string]array
 	counter atomic.Int64
 	// rangeLocks stripes AccRange's serialization by (array, block):
 	// concurrent segment updates to different blocks proceed in
@@ -94,8 +97,16 @@ func (s *Store) rangeLock(name string, key tensor.BlockKey) *sync.Mutex {
 	return &s.rangeLocks[h%rangeStripes]
 }
 
+// array is one named tensor of a store. An attached array is shared
+// read-only with other stores: it has no pending accumulations, and the
+// write paths refuse it.
+type array struct {
+	bt       *tensor.BlockTensor4
+	attached bool
+}
+
 // orderedAcc is one buffered AccOrdered contribution awaiting the
-// deterministic fold performed by Array.
+// deterministic fold performed by Array or Fold.
 type orderedAcc struct {
 	tag    int
 	lo, hi int
@@ -111,7 +122,7 @@ var _ API = (*Store)(nil)
 func NewStore(nodes int) *Store {
 	return &Store{
 		dist:    Distribution{Nodes: nodes},
-		tensors: make(map[string]*tensor.BlockTensor4),
+		tensors: make(map[string]array),
 		pending: make(map[string]map[tensor.BlockKey][]orderedAcc),
 	}
 }
@@ -121,24 +132,59 @@ func (s *Store) Distribution() Distribution { return s.dist }
 
 // Create registers an empty named array. Creating an existing name panics.
 func (s *Store) Create(name string) *tensor.BlockTensor4 {
-	if _, dup := s.tensors[name]; dup {
-		panic(fmt.Sprintf("ga: array %q already exists", name))
-	}
 	bt := tensor.NewBlockTensor4()
-	s.tensors[name] = bt
+	s.register(name, array{bt: bt})
 	return bt
 }
 
-// Array returns the named array, panicking if absent. Intended for
-// result extraction after execution; concurrent mutation must go through
-// GetHashBlock / AddHashBlock.
-func (s *Store) Array(name string) *tensor.BlockTensor4 {
-	bt, ok := s.tensors[name]
+// Attach registers bt under name as a read-only array: ga_access over
+// data that already sits in the Global Arrays before the kernel runs
+// (§IV-B). The tensor may be attached to any number of stores at once;
+// reads take no store-wide lock, and AccOrdered, AddHashBlock and
+// AccRange on the name return an error, so a stray write cannot corrupt
+// the other stores' view. Attaching an existing name panics, like
+// Create.
+func (s *Store) Attach(name string, bt *tensor.BlockTensor4) {
+	s.register(name, array{bt: bt, attached: true})
+}
+
+func (s *Store) register(name string, a array) {
+	if _, dup := s.tensors[name]; dup {
+		panic(fmt.Sprintf("ga: array %q already exists", name))
+	}
+	s.tensors[name] = a
+}
+
+// writable reports an error if the named array is attached read-only.
+func (s *Store) writable(name string) error {
+	if s.tensors[name].attached {
+		return fmt.Errorf("ga: array %q is attached read-only", name)
+	}
+	return nil
+}
+
+// Array returns the named array, panicking if absent, after folding its
+// buffered AccOrdered contributions on the calling goroutine. Intended
+// for result extraction after execution; concurrent mutation must go
+// through GetHashBlock / AddHashBlock. An attached array must not be
+// mutated through the result.
+func (s *Store) Array(name string) *tensor.BlockTensor4 { return s.Fold(name, 1) }
+
+// Fold is Array with the fold spread over workers goroutines (the
+// calling one included; workers <= 0 means GOMAXPROCS). Blocks are
+// independent storage and each keeps Array's (tag, lo) order and
+// duplicate suppression, so the result is bitwise identical to Array's
+// for every worker count. Attached arrays have nothing to fold, so
+// reads of them take no store-wide lock.
+func (s *Store) Fold(name string, workers int) *tensor.BlockTensor4 {
+	a, ok := s.tensors[name]
 	if !ok {
 		panic(fmt.Sprintf("ga: no array %q", name))
 	}
-	s.flushOrdered(name, bt)
-	return bt
+	if !a.attached {
+		s.flushOrdered(name, a.bt, workers)
+	}
+	return a.bt
 }
 
 // GetHashBlock fetches a copy of a block, like GET_HASH_BLOCK copying
@@ -156,20 +202,28 @@ func (s *Store) Access(name string, key tensor.BlockKey) *tensor.Tile4 {
 
 // AddHashBlock atomically accumulates scale*src into a block, creating it
 // zeroed if absent — ADD_HASH_BLOCK's Corig += Csorted. A dimension
-// mismatch with an existing block is reported as an error (task bodies
-// reach this surface, and under injected faults a panic here would tear
-// down the whole runtime instead of failing one task).
+// mismatch with an existing block, or an attached array, is reported as
+// an error (task bodies reach this surface, and under injected faults a
+// panic here would tear down the whole runtime instead of failing one
+// task).
 func (s *Store) AddHashBlock(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64) error {
+	if err := s.writable(name); err != nil {
+		return err
+	}
 	return s.Array(name).AccChecked(key, src, scale)
 }
 
 // AccRange atomically accumulates scale*src[lo:hi] into the element range
 // [lo, hi) of a block: the per-segment update a WRITE_C instance performs
 // when the block spans several nodes (Fig 8) and each instance owns one
-// contiguous slice. Out-of-range segments are reported as errors.
+// contiguous slice. Out-of-range segments and attached arrays are
+// reported as errors.
 func (s *Store) AccRange(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, lo, hi int) error {
 	if lo < 0 || hi > src.Len() || lo > hi {
 		return fmt.Errorf("ga: AccRange [%d,%d) of %d elements", lo, hi, src.Len())
+	}
+	if err := s.writable(name); err != nil {
+		return err
 	}
 	bt := s.Array(name)
 	dst := bt.GetOrCreate(key, src.Dim)
@@ -184,21 +238,25 @@ func (s *Store) AccRange(name string, key tensor.BlockKey, src *tensor.Tile4, sc
 // scale*src[lo:hi], tagged with a schedule-independent ordinal (the
 // runtime passes the task instance's creation sequence). The buffered
 // contributions are folded into the block in ascending (tag, lo) order
-// the next time the array is read through Array, so the resulting
-// floats are bitwise identical for every worker count, queue mode, and
-// scheduling policy — the "ordered reduce" invariance of DESIGN §6,
-// which a sharded scheduler can no longer get for free from lock
-// serialization. The caller must not mutate src afterwards.
+// the next time the array is read through Array or Fold, so the
+// resulting floats are bitwise identical for every worker count, queue
+// mode, and scheduling policy — the "ordered reduce" invariance of
+// DESIGN §6, which a sharded scheduler can no longer get for free from
+// lock serialization. The caller must not mutate src afterwards.
 //
-// Out-of-range segments are reported as errors rather than panics —
-// this surface is reached from task bodies, and under fault injection a
-// retried task must be able to fail cleanly. An exact duplicate of an
-// already-buffered contribution (same tag, segment, scale, and source
-// tile) is the signature of an at-least-once retransmission; it is
-// suppressed at fold time, so a retried ACC never double-counts.
+// Out-of-range segments and attached arrays are reported as errors
+// rather than panics — this surface is reached from task bodies, and
+// under fault injection a retried task must be able to fail cleanly. An
+// exact duplicate of an already-buffered contribution (same tag,
+// segment, scale, and source tile) is the signature of an at-least-once
+// retransmission; it is suppressed at fold time, so a retried ACC never
+// double-counts.
 func (s *Store) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error {
 	if lo < 0 || hi > src.Len() || lo > hi {
 		return fmt.Errorf("ga: AccOrdered [%d,%d) of %d elements", lo, hi, src.Len())
+	}
+	if err := s.writable(name); err != nil {
+		return err
 	}
 	s.accMu.Lock()
 	m := s.pending[name]
@@ -211,12 +269,14 @@ func (s *Store) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, 
 	return nil
 }
 
-// flushOrdered folds the named array's buffered contributions. Blocks
-// are independent storage, so only the within-block order matters; that
-// order is fixed by the (tag, lo) sort. Deterministic results require
-// that all AccOrdered calls happened-before the triggering read (i.e.
-// the graph reached quiescence), which the runtime guarantees.
-func (s *Store) flushOrdered(name string, bt *tensor.BlockTensor4) {
+// flushOrdered folds the named array's buffered contributions on up to
+// workers goroutines (<= 0 means GOMAXPROCS). Blocks are independent
+// storage, so only the within-block order matters; that order is fixed
+// by the (tag, lo) sort, and blocks are handed out whole. Deterministic
+// results require that all AccOrdered calls happened-before the
+// triggering read (i.e. the graph reached quiescence), which the runtime
+// guarantees.
+func (s *Store) flushOrdered(name string, bt *tensor.BlockTensor4, workers int) {
 	s.accMu.Lock()
 	m := s.pending[name]
 	delete(s.pending, name)
@@ -224,22 +284,48 @@ func (s *Store) flushOrdered(name string, bt *tensor.BlockTensor4) {
 	if len(m) == 0 {
 		return
 	}
-	for key, accs := range m {
-		sort.Slice(accs, func(i, j int) bool {
-			if accs[i].tag != accs[j].tag {
-				return accs[i].tag < accs[j].tag
-			}
-			return accs[i].lo < accs[j].lo
-		})
-		dst := bt.GetOrCreate(key, accs[0].src.Dim)
-		for n, a := range accs {
-			// Suppress retransmitted duplicates: after the (tag, lo) sort a
-			// retried contribution sits next to its original.
-			if n > 0 && accs[n-1] == a {
-				continue
-			}
-			tensor.Axpy(dst.Data[a.lo:a.hi], a.src.Data[a.lo:a.hi], a.scale)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	keys := make([]tensor.BlockKey, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	var next atomic.Int64
+	fold := func() {
+		for i := int(next.Add(1) - 1); i < len(keys); i = int(next.Add(1) - 1) {
+			foldBlock(bt, keys[i], m[keys[i]])
 		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(keys)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fold()
+		}()
+	}
+	fold()
+	wg.Wait()
+}
+
+// foldBlock applies one block's contributions in ascending (tag, lo)
+// order, skipping retransmitted duplicates.
+func foldBlock(bt *tensor.BlockTensor4, key tensor.BlockKey, accs []orderedAcc) {
+	sort.Slice(accs, func(i, j int) bool {
+		if accs[i].tag != accs[j].tag {
+			return accs[i].tag < accs[j].tag
+		}
+		return accs[i].lo < accs[j].lo
+	})
+	dst := bt.GetOrCreate(key, accs[0].src.Dim)
+	for n, a := range accs {
+		// Suppress retransmitted duplicates: after the (tag, lo) sort a
+		// retried contribution sits next to its original.
+		if n > 0 && accs[n-1] == a {
+			continue
+		}
+		tensor.Axpy(dst.Data[a.lo:a.hi], a.src.Data[a.lo:a.hi], a.scale)
 	}
 }
 

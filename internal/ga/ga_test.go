@@ -527,3 +527,104 @@ func TestRangeLockDeterministicAndSpread(t *testing.T) {
 		t.Error("array name appears to be ignored by the stripe hash")
 	}
 }
+
+// TestStoreAttachReadOnly: an attached array reads zero-copy and every
+// write path refuses it with an error, leaving the shared tensor as it
+// was; attaching an existing name panics like Create.
+func TestStoreAttachReadOnly(t *testing.T) {
+	key := tensor.BlockKey{0, 1, 0, 1}
+	bt := tensor.NewBlockTensor4()
+	tile := bt.GetOrCreate(key, [4]int{2, 2, 2, 2})
+	tile.FillRandom(7, 1)
+	want := append([]float64(nil), tile.Data...)
+
+	s := NewStore(1)
+	s.Attach("in", bt)
+	if s.Access("in", key) != tile {
+		t.Fatal("Access on an attached array copied the tile")
+	}
+	if got := s.GetHashBlock("in", key); got == tile || got.MaxAbsDiff(tile) != 0 {
+		t.Fatal("GetHashBlock on an attached array did not return an equal copy")
+	}
+	src := tensor.NewTile4(2, 2, 2, 2)
+	src.FillRandom(8, 1)
+	for name, err := range map[string]error{
+		"AccOrdered":   s.AccOrdered("in", key, src, 1, 0, 0, src.Len()),
+		"AddHashBlock": s.AddHashBlock("in", key, src, 1),
+		"AccRange":     s.AccRange("in", key, src, 1, 0, src.Len()),
+	} {
+		if err == nil {
+			t.Errorf("%s on an attached array: no error", name)
+		}
+	}
+	for i, v := range tile.Data {
+		if v != want[i] {
+			t.Fatalf("attached tile changed at %d: %v -> %v", i, want[i], v)
+		}
+	}
+	if s.Array("in") != bt || s.Fold("in", 4) != bt {
+		t.Error("Array/Fold on an attached array did not return the shared tensor")
+	}
+
+	for _, first := range []string{"create", "attach"} {
+		func() {
+			s := NewStore(1)
+			if first == "create" {
+				s.Create("x")
+			} else {
+				s.Attach("x", bt)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Attach over a %sd name did not panic", first)
+				}
+			}()
+			s.Attach("x", bt)
+		}()
+	}
+}
+
+// TestFoldMatchesArray: the worker-parallel fold is bitwise identical
+// to the serial one for every worker count, with contributions arriving
+// out of order and some retransmitted.
+func TestFoldMatchesArray(t *testing.T) {
+	const blocks, perBlock = 23, 6
+	srcs := make([]*tensor.Tile4, blocks*perBlock)
+	for i := range srcs {
+		srcs[i] = tensor.NewTile4(3, 2, 2, 3)
+		srcs[i].FillRandom(uint64(i+1), 1)
+	}
+	fill := func() *Store {
+		s := NewStore(1)
+		s.Create("c")
+		for i := len(srcs) - 1; i >= 0; i-- { // reverse tag order
+			key := tensor.BlockKey{i % blocks, 0, 0, 0}
+			n := srcs[i].Len()
+			lo, hi := 0, n
+			if i%3 == 1 { // a segmented contribution, as split WRITE_C tasks make
+				lo, hi = n/3, n
+			}
+			for rep := 0; rep <= i%4/3; rep++ { // every fourth one retransmitted
+				if err := s.AccOrdered("c", key, srcs[i], 0.5, i/blocks, lo, hi); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return s
+	}
+	want := fill().Array("c")
+	for _, k := range []int{1, 2, 7, 0} {
+		got := fill().Fold("c", k)
+		if got.NumBlocks() != want.NumBlocks() {
+			t.Fatalf("Fold(%d): %d blocks, want %d", k, got.NumBlocks(), want.NumBlocks())
+		}
+		for _, key := range want.Keys() {
+			w, g := want.MustTile(key), got.MustTile(key)
+			for i := range w.Data {
+				if w.Data[i] != g.Data[i] {
+					t.Fatalf("Fold(%d) block %v element %d: %v, Array gives %v", k, key, i, g.Data[i], w.Data[i])
+				}
+			}
+		}
+	}
+}

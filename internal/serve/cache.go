@@ -53,6 +53,9 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
+	// ResidentBytes sums the cached plans' resident inputs and energy
+	// weights (ccsd.CompiledPlan.ResidentBytes).
+	ResidentBytes int64 `json:"resident_bytes"`
 }
 
 // PlanCache is a content-keyed LRU of compiled plans with singleflight
@@ -60,9 +63,15 @@ type CacheStats struct {
 // requesters wait for its result, so a burst of identical submissions
 // costs one inspection + planning pass. Failed compiles are not cached —
 // the entry is removed so a later submission retries.
+//
+// A plan executed more than once keeps its inputs resident (see
+// ccsd.CompiledPlan.Execute). With a positive resident budget, every Get
+// drops the residency of least-recently-used plans until the cached
+// plans' resident bytes fit it; the plans themselves stay cached.
 type PlanCache struct {
 	mu        sync.Mutex
 	capacity  int
+	budget    int64 // resident-bytes bound; <= 0 leaves residency unbounded
 	entries   map[string]*cacheEntry
 	lru       *list.List // front = most recently used
 	hits      int64
@@ -71,14 +80,16 @@ type PlanCache struct {
 }
 
 // NewPlanCache returns a cache holding at most capacity ready plans
-// (capacity < 1 is treated as 1). In-flight compiles never count against
-// the cap, so admission can transiently overshoot it.
-func NewPlanCache(capacity int) *PlanCache {
+// (capacity < 1 is treated as 1) whose resident inputs Get bounds by
+// residentBudget bytes (<= 0: unbounded). In-flight compiles never count
+// against the cap, so admission can transiently overshoot it.
+func NewPlanCache(capacity int, residentBudget int64) *PlanCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &PlanCache{
 		capacity: capacity,
+		budget:   residentBudget,
 		entries:  make(map[string]*cacheEntry),
 		lru:      list.New(),
 	}
@@ -87,12 +98,14 @@ func NewPlanCache(capacity int) *PlanCache {
 // Get returns the plan for key, compiling it with compile on a miss.
 // The boolean reports whether the lookup was a hit (the plan existed or
 // was already being compiled by another goroutine). Errors from compile
-// propagate to every waiter of that flight and evict the entry.
+// propagate to every waiter of that flight and evict the entry. Either
+// way, Get first trims resident inputs to the cache's budget.
 func (c *PlanCache) Get(key string, compile func() (*ccsd.CompiledPlan, error)) (*ccsd.CompiledPlan, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
 		c.lru.MoveToFront(e.elem)
+		c.trimResidentLocked()
 		c.mu.Unlock()
 		<-e.ready
 		return e.plan, true, e.err
@@ -102,6 +115,7 @@ func (c *PlanCache) Get(key string, compile func() (*ccsd.CompiledPlan, error)) 
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.evictLocked()
+	c.trimResidentLocked()
 	c.mu.Unlock()
 
 	plan, err := compile()
@@ -140,15 +154,49 @@ func (c *PlanCache) evictLocked() {
 	}
 }
 
-// Stats snapshots the hit/miss/eviction counters and current size.
+// residentLocked sums the resident bytes of the cached plans.
+func (c *PlanCache) residentLocked() int64 {
+	var total int64
+	for _, e := range c.entries {
+		if e.plan != nil {
+			total += e.plan.ResidentBytes()
+		}
+	}
+	return total
+}
+
+// trimResidentLocked drops the resident inputs of plans from the LRU
+// tail until the cached plans' resident bytes fit the budget. Plans
+// stay cached; an execution already holding dropped inputs keeps them
+// until it finishes.
+func (c *PlanCache) trimResidentLocked() {
+	if c.budget <= 0 {
+		return
+	}
+	total := c.residentLocked()
+	for el := c.lru.Back(); el != nil && total > c.budget; el = el.Prev() {
+		e := el.Value.(*cacheEntry)
+		if e.plan == nil {
+			continue
+		}
+		if n := e.plan.ResidentBytes(); n > 0 {
+			e.plan.DropResident()
+			total -= n
+		}
+	}
+}
+
+// Stats snapshots the hit/miss/eviction counters, current size and
+// resident bytes.
 func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   len(c.entries),
-		Capacity:  c.capacity,
+		Hits:          c.hits,
+		Misses:        c.misses,
+		Evictions:     c.evictions,
+		Entries:       len(c.entries),
+		Capacity:      c.capacity,
+		ResidentBytes: c.residentLocked(),
 	}
 }

@@ -41,7 +41,7 @@ func compileWater(n *atomic.Int64) func() (*ccsd.CompiledPlan, error) {
 // TestCacheHitMissCounters pins the counter semantics: first Get of a
 // key is a miss, every later Get is a hit.
 func TestCacheHitMissCounters(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewPlanCache(4, 0)
 	var compiles atomic.Int64
 	key := keyFor(t, molecule.Water631G(), "v5", 0, 0, 1)
 
@@ -68,7 +68,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 // TestCacheLRUEviction fills a cap-2 cache with three keys and checks
 // the least recently used one is evicted.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, 0)
 	var compiles atomic.Int64
 	keys := []string{"k-a", "k-b", "k-c"}
 	for _, k := range keys[:2] {
@@ -101,7 +101,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // checks the compile ran exactly once, with every caller receiving the
 // same plan.
 func TestCacheSingleflight(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewPlanCache(4, 0)
 	var compiles atomic.Int64
 	key := keyFor(t, molecule.Water631G(), "v5", 0, 0, 1)
 
@@ -141,7 +141,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheCompileErrorNotCached pins that a failed compile is evicted
 // so the next Get retries instead of replaying the error forever.
 func TestCacheCompileErrorNotCached(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewPlanCache(4, 0)
 	boom := errors.New("boom")
 	var calls atomic.Int64
 	fail := func() (*ccsd.CompiledPlan, error) { calls.Add(1); return nil, boom }
@@ -163,7 +163,7 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 // while a second key is admitted: the in-flight entry must survive and
 // deliver its plan to the waiter.
 func TestCacheInFlightNotEvicted(t *testing.T) {
-	c := NewPlanCache(1)
+	c := NewPlanCache(1, 0)
 	gate := make(chan struct{})
 	var compiles atomic.Int64
 
@@ -245,7 +245,7 @@ func TestPlanKeyUnifiesEquivalentSpellings(t *testing.T) {
 // TestCacheEvictionChurn exercises the LRU under a rolling key set much
 // larger than the cap; entries must stay bounded by the capacity.
 func TestCacheEvictionChurn(t *testing.T) {
-	c := NewPlanCache(3)
+	c := NewPlanCache(3, 0)
 	var compiles atomic.Int64
 	for i := 0; i < 20; i++ {
 		if _, _, err := c.Get(fmt.Sprintf("key-%d", i%7), compileWater(&compiles)); err != nil {
@@ -259,4 +259,93 @@ func TestCacheEvictionChurn(t *testing.T) {
 	if st.Hits+st.Misses != 20 {
 		t.Fatalf("hits+misses = %d, want 20", st.Hits+st.Misses)
 	}
+}
+
+// residentWant returns the resident bytes a water plan reports after
+// its second Execute: both inputs plus the energy weights.
+func residentWant(p *ccsd.CompiledPlan) int64 {
+	a, b := p.Workload.Materialize()
+	return a.TotalBytes() + b.TotalBytes() + p.Workload.Weights().TotalBytes()
+}
+
+// executeN runs p n times at one worker.
+func executeN(t *testing.T, p *ccsd.CompiledPlan, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := p.Execute(ccsd.ExecConfig{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCacheResidentBytes: a one-shot plan holds no resident inputs; a
+// twice-run one holds A, B and the weights, and Stats reports them.
+func TestCacheResidentBytes(t *testing.T) {
+	c := NewPlanCache(4, 0)
+	var compiles atomic.Int64
+	p, _, err := c.Get("water", compileWater(&compiles))
+	if err != nil {
+		t.Fatal(err)
+	}
+	executeN(t, p, 1)
+	if got := c.Stats().ResidentBytes; got != 0 || p.ResidentBytes() != 0 {
+		t.Fatalf("one-shot plan: cache resident %d, plan %d, want 0", got, p.ResidentBytes())
+	}
+	executeN(t, p, 1)
+	want := residentWant(p)
+	if got := c.Stats().ResidentBytes; got != want || p.ResidentBytes() != want {
+		t.Fatalf("twice-run plan: cache resident %d, plan %d, want %d", got, p.ResidentBytes(), want)
+	}
+}
+
+// TestCacheResidentBudget: with a budget of one and a half plans'
+// inputs, each Get drops the least recently used plan's residency until
+// the cache fits, and the dropped plan stays cached.
+func TestCacheResidentBudget(t *testing.T) {
+	var compiles atomic.Int64
+	one := residentWant(mustCompile(t, compileWater(&compiles)))
+	budget := one + one/2
+	c := NewPlanCache(4, budget)
+	get := func(key string) *ccsd.CompiledPlan {
+		t.Helper()
+		p, _, err := c.Get(key, compileWater(&compiles))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Stats().ResidentBytes; got > budget {
+			t.Fatalf("after Get(%s): resident %d over budget %d", key, got, budget)
+		}
+		return p
+	}
+	p1 := get("k1")
+	executeN(t, p1, 2)
+	p2 := get("k2")
+	executeN(t, p2, 2)
+	if got := c.Stats().ResidentBytes; got != 2*one {
+		t.Fatalf("two twice-run plans: resident %d, want %d", got, 2*one)
+	}
+	get("k3") // k1 is least recently used
+	if p1.ResidentBytes() != 0 || p2.ResidentBytes() != one {
+		t.Fatalf("after trim: k1 resident %d (want 0), k2 %d (want %d)", p1.ResidentBytes(), p2.ResidentBytes(), one)
+	}
+	if again := get("k1"); again != p1 {
+		t.Fatal("trimmed plan left the cache")
+	}
+	executeN(t, p1, 1) // dropped plans publish again on their next execute
+	get("k3")          // k2 is now least recently used
+	if p2.ResidentBytes() != 0 || p1.ResidentBytes() != one {
+		t.Fatalf("after second trim: k1 resident %d (want %d), k2 %d (want 0)", p1.ResidentBytes(), one, p2.ResidentBytes())
+	}
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 3 entries and no evictions", st)
+	}
+}
+
+func mustCompile(t *testing.T, compile func() (*ccsd.CompiledPlan, error)) *ccsd.CompiledPlan {
+	t.Helper()
+	p, err := compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

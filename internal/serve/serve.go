@@ -211,7 +211,7 @@ func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:        cfg,
-		cache:      NewPlanCache(cfg.CacheCap),
+		cache:      NewPlanCache(cfg.CacheCap, cfg.MemBudget),
 		jobs:       make(map[string]*job),
 		footprints: make(map[string]int64),
 		epoch:      1,

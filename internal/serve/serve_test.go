@@ -78,6 +78,9 @@ func TestServerColdThenCachedEnergy(t *testing.T) {
 	if math.Abs(r1.Energy-ref) > 1e-12 {
 		t.Errorf("energy %.15f vs reference %.15f: |diff| > 1e-12", r1.Energy, ref)
 	}
+	if got := s.Stats().Cache.ResidentBytes; got <= 0 {
+		t.Errorf("resident bytes after a twice-run plan = %d, want > 0", got)
+	}
 }
 
 // TestServerBackpressure fills the admission queue while the only
@@ -323,6 +326,15 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 	if stats.Done < 1 || stats.Accepted < 1 || stats.Cache.Misses < 1 {
 		t.Errorf("stats = %+v, want at least one done/accepted/miss", stats)
+	}
+	var wire struct {
+		Cache map[string]int64 `json:"cache"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := wire.Cache["resident_bytes"]; !ok || got != 0 {
+		t.Errorf("stats cache resident_bytes = %d (present %v), want 0 for a one-shot plan", got, ok)
 	}
 }
 

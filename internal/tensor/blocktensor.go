@@ -58,18 +58,27 @@ func (bt *BlockTensor4) MustTile(key BlockKey) *Tile4 {
 
 // GetOrCreate returns the tile for key, allocating a zeroed tile with the
 // given extents if absent. It panics if an existing tile has different
-// extents.
+// extents. The allocation happens outside the tensor's lock, so
+// goroutines creating different blocks serialize only on the map insert.
 func (bt *BlockTensor4) GetOrCreate(key BlockKey, dims [4]int) *Tile4 {
+	if t, ok := bt.Tile(key); ok {
+		return checkDims(key, t, dims)
+	}
+	fresh := NewTile4(dims[0], dims[1], dims[2], dims[3])
 	bt.mu.Lock()
 	defer bt.mu.Unlock()
 	if t, ok := bt.tiles[key]; ok {
-		if t.Dim != dims {
-			panic(fmt.Sprintf("tensor: block %v exists with dims %v, requested %v", key, t.Dim, dims))
-		}
-		return t
+		return checkDims(key, t, dims)
 	}
-	t := NewTile4(dims[0], dims[1], dims[2], dims[3])
-	bt.tiles[key] = t
+	bt.tiles[key] = fresh
+	return fresh
+}
+
+// checkDims returns t, panicking if its extents are not dims.
+func checkDims(key BlockKey, t *Tile4, dims [4]int) *Tile4 {
+	if t.Dim != dims {
+		panic(fmt.Sprintf("tensor: block %v exists with dims %v, requested %v", key, t.Dim, dims))
+	}
 	return t
 }
 

@@ -161,3 +161,28 @@ func TestBlockKeyString(t *testing.T) {
 		t.Error("Stringer not used by fmt")
 	}
 }
+
+// TestGetOrCreateConcurrentSameKey: creators racing on one absent block
+// allocate outside the lock, but all of them get the one stored tile.
+func TestGetOrCreateConcurrentSameKey(t *testing.T) {
+	bt := NewBlockTensor4()
+	key := BlockKey{1, 2, 3, 4}
+	got := make([]*Tile4, 16)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = bt.GetOrCreate(key, [4]int{2, 3, 2, 3})
+		}(i)
+	}
+	wg.Wait()
+	for i, tl := range got {
+		if tl != got[0] || tl != bt.MustTile(key) {
+			t.Fatalf("creator %d got a tile other than the stored one", i)
+		}
+	}
+	if bt.NumBlocks() != 1 {
+		t.Fatalf("%d blocks, want 1", bt.NumBlocks())
+	}
+}
